@@ -1,79 +1,29 @@
 #!/usr/bin/env python3
 """Generate a small synthetic dataset in the TU text format.
 
-The dataset mirrors the graph shapes the experiment recipes expect:
-index 0 is a 37-node non-regular connected graph, index 10 is the complete
-graph on 4 nodes (3-regular), and index 18 is a single edge. Node attributes
-are standard-normal draws from a fixed seed, so the output is reproducible.
+Thin wrapper around ``oversmooth.synthetic.write_synthetic_enzymes``: index 0
+is a 37-node non-regular connected graph, index 10 is the complete graph on 4
+nodes (3-regular), and index 18 is a single edge. The output is reproducible
+from the seed.
 
 Usage: python3 scripts/make_toy_enzymes.py [out_dir] [--seed N]
 """
 
 import argparse
-import itertools
 import sys
-from pathlib import Path
 
-import numpy as np
-
-from oversmooth import make_graph, stats
-
-
-def sample_connected(rng, n, p, regular=None, bipartite=None):
-    for _ in range(1000):
-        mask = rng.random((n, n)) < p
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]]
-        g = make_graph(n, edges)
-        st = stats(g)
-        if not st.connected:
-            continue
-        if regular is not None and st.regular != regular:
-            continue
-        if bipartite is not None and st.bipartite != bipartite:
-            continue
-        return g
-    raise RuntimeError("could not sample a graph with the requested properties")
-
-
-def build_dataset(seed: int, n_graphs: int = 19, attr_width: int = 6):
-    rng = np.random.default_rng(seed)
-    graphs = []
-    for idx in range(n_graphs):
-        if idx == 0:
-            graphs.append(sample_connected(rng, 37, 0.13, regular=False, bipartite=False))
-        elif idx == 10:
-            graphs.append(make_graph(4, itertools.combinations(range(4), 2)))
-        elif idx == 18:
-            graphs.append(make_graph(2, [(0, 1)]))
-        else:
-            graphs.append(sample_connected(rng, int(rng.integers(3, 12)), 0.5))
-
-    adjacency, indicator, attributes = [], [], []
-    offset = 0
-    for gidx, g in enumerate(graphs, start=1):
-        for i, j in sorted(g.edges):
-            adjacency.append(f"{offset + i + 1}, {offset + j + 1}")
-            adjacency.append(f"{offset + j + 1}, {offset + i + 1}")
-        indicator.extend([str(gidx)] * g.n_nodes)
-        for _ in range(g.n_nodes):
-            attributes.append(",".join(f"{v:.6f}" for v in rng.standard_normal(attr_width)))
-        offset += g.n_nodes
-    return adjacency, indicator, attributes
+from oversmooth.synthetic import DEFAULT_DATASET_SEED, write_synthetic_enzymes
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", nargs="?", default="data")
-    parser.add_argument("--seed", type=int, default=20240817)
+    parser.add_argument("--seed", type=int, default=DEFAULT_DATASET_SEED)
     args = parser.parse_args(argv)
 
-    adjacency, indicator, attributes = build_dataset(args.seed)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "ENZYMES_A.txt").write_text("\n".join(adjacency) + "\n")
-    (out / "ENZYMES_graph_indicator.txt").write_text("\n".join(indicator) + "\n")
-    (out / "ENZYMES_node_attributes.txt").write_text("\n".join(attributes) + "\n")
-    print(f"wrote TU-format dataset ({len(indicator)} nodes, 19 graphs) to {out}")
+    graphs = write_synthetic_enzymes(args.out_dir, seed=args.seed)
+    n_nodes = sum(g.n_nodes for g in graphs)
+    print(f"wrote TU-format dataset ({n_nodes} nodes, {len(graphs)} graphs) to {args.out_dir}")
     return 0
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -33,12 +34,7 @@ from .energy import (
     descriptor_for,
     normalize_conjugation,
 )
-from .errors import (
-    DomainError,
-    GraphFormatError,
-    InsufficientDataError,
-    NumericalError,
-)
+from .errors import DomainError, InsufficientDataError, NumericalError
 from .graph_core import (
     Graph,
     largest_connected_component,
@@ -72,15 +68,18 @@ OPERATOR_ALIASES = {
     "anorm-tilde": OperatorKind.RENORMALIZED_ADJACENCY,
 }
 
-_DATA_ERRORS = (
-    DomainError,
-    GraphFormatError,
-    NumericalError,
-    InsufficientDataError,
-    FileNotFoundError,
-    OSError,
-    ValueError,
-)
+_DATA_ERRORS = (ValueError, OSError, NumericalError)
+
+# experiment -> (graph selector, output kind, weights spec); every recipe runs
+# 50 layers of the normalized adjacency with the 1/|V| volume constant
+RECIPES = {
+    "fig1": ("enzymes:0", "simulate", "none"),
+    "fig2": ("enzymes:10", "simulate", "none"),
+    "fig3": ("cora-lcc", "simulate", "first:16"),
+    "fig4a": ("enzymes:0", "ratio", "per-layer"),
+    "fig4b": ("enzymes:10", "ratio", "per-layer"),
+    "fig4c": ("enzymes:18", "ratio", "per-layer"),
+}
 
 
 def _now_iso() -> str:
@@ -99,11 +98,9 @@ def resolve_graph(
     Selectors: 'enzymes:<idx>' (0-based TU file order), 'cora-lcc', or a path
     to an edge-list file.
     """
+    if data_dir is None and (selector.startswith("enzymes:") or selector == "cora-lcc"):
+        raise FileNotFoundError(f"selector {selector!r} needs --data-dir or ${DATA_DIR_ENV}")
     if selector.startswith("enzymes:"):
-        if data_dir is None:
-            raise FileNotFoundError(
-                f"selector {selector!r} needs --data-dir or ${DATA_DIR_ENV}"
-            )
         idx = int(selector.split(":", 1)[1])
         files = find_tu_files(data_dir, "ENZYMES")
         attr_text = (
@@ -117,10 +114,6 @@ def resolve_graph(
         g, x = graphs[idx]
         return g, x, "ENZYMES"
     if selector == "cora-lcc":
-        if data_dir is None:
-            raise FileNotFoundError(
-                f"selector {selector!r} needs --data-dir or ${DATA_DIR_ENV}"
-            )
         files = find_cora_files(data_dir)
         g, x = load_cora(files["content"].read_text(), files["cites"].read_text())
         g, x = largest_connected_component(g, x)
@@ -152,16 +145,13 @@ def _manifest(dataset_id: str, selector: str, config: dict, seed: int) -> RunMan
 
 
 def _parse_weights(spec: str, layers: int, in_width: int, seed: int):
+    """Weight mode for a spec already checked by ``_weights_spec``."""
     if spec == "none":
         return None
-    if spec.startswith("first:"):
-        return FirstLayerWeights(out_dim=int(spec.split(":", 1)[1]), seed=seed)
-    if spec == "per-layer":
-        return PerLayerWeights(dims=(in_width,) * layers, seed=seed)
-    if spec.startswith("per-layer:"):
-        w = int(spec.split(":", 1)[1])
-        return PerLayerWeights(dims=(w,) * layers, seed=seed)
-    raise DomainError(f"unknown weights spec {spec!r}")
+    kind, _, width = spec.partition(":")
+    if kind == "first":
+        return FirstLayerWeights(out_dim=int(width), seed=seed)
+    return PerLayerWeights(dims=(int(width) if width else in_width,) * layers, seed=seed)
 
 
 def _write(path: Path, text: str):
@@ -202,6 +192,8 @@ def cmd_analyze(args) -> int:
 
 
 def _run_simulation(g, features, args, selector: str, dataset_id: str):
+    """Propagate with the run settings in ``args`` (layers, operator, weights, seed,
+    features, volume_constant); the one run path behind simulate, ratio and repro."""
     x0 = _initial_signal(g, features, args.seed, args.features)
     weight_mode = _parse_weights(args.weights, args.layers, x0.shape[1], args.seed)
     cfg = PropagationConfig(
@@ -286,19 +278,8 @@ def cmd_axioms(args) -> int:
 
 def cmd_ratio(args) -> int:
     g, features, dataset_id = resolve_graph(args.graph, _resolve_data_dir(args.data_dir))
-    x0 = _initial_signal(g, features, args.seed, args.features)
-    cfg = PropagationConfig(
-        layers=args.layers,
-        operator_kind=OperatorKind.NORMALIZED_ADJACENCY,
-        weight_mode=PerLayerWeights(dims=(x0.shape[1],) * args.layers, seed=args.seed),
-    )
-    _, trace = propagate(g, x0, cfg)
+    trace, manifest = _run_simulation(g, features, args, args.graph, dataset_id)
     ratio = energy_ratio_trace(trace)
-    manifest = _manifest(
-        dataset_id, args.graph,
-        {"layers": args.layers, "weights": "per-layer", "features": x0.shape[1]},
-        args.seed,
-    )
     if args.out:
         _write(Path(args.out), export_ratio_csv(ratio, manifest))
     if not ratio.points:
@@ -357,39 +338,19 @@ def cmd_repro(args) -> int:
     if data_dir is None:
         raise FileNotFoundError(f"repro needs --data-dir or ${DATA_DIR_ENV}")
     out_dir = Path(args.out) / args.experiment
-    recipes = {
-        "fig1": ("enzymes:0", "simulate", "none"),
-        "fig2": ("enzymes:10", "simulate", "none"),
-        "fig3": ("cora-lcc", "simulate", "first:16"),
-        "fig4a": ("enzymes:0", "ratio", "per-layer"),
-        "fig4b": ("enzymes:10", "ratio", "per-layer"),
-        "fig4c": ("enzymes:18", "ratio", "per-layer"),
-    }
-    selector, mode, weights = recipes[args.experiment]
+    selector, output, weights = RECIPES[args.experiment]
     g, features, dataset_id = resolve_graph(selector, data_dir)
-
-    sim_args = argparse.Namespace(
+    run = argparse.Namespace(
         layers=50, operator="anorm", weights=weights, seed=args.seed,
         features=args.features, volume_constant=True,
     )
-    if mode == "simulate":
-        trace, manifest = _run_simulation(g, features, sim_args, selector, dataset_id)
+    trace, manifest = _run_simulation(g, features, run, selector, dataset_id)
+    if output == "simulate":
         summary = _simulation_outputs(trace, manifest, out_dir)
         print(f"{args.experiment}: over_smoothing={summary['over_smoothing']} "
               f"over_shrinking={summary['over_shrinking']}")
     else:
-        x0 = _initial_signal(g, features, args.seed, args.features)
-        cfg = PropagationConfig(
-            layers=50,
-            operator_kind=OperatorKind.NORMALIZED_ADJACENCY,
-            weight_mode=PerLayerWeights(dims=(x0.shape[1],) * 50, seed=args.seed),
-            track_volume_constant=True,
-        )
-        _, trace = propagate(g, x0, cfg)
         ratio = energy_ratio_trace(trace)
-        manifest = _manifest(
-            dataset_id, selector, {"layers": 50, "weights": "per-layer"}, args.seed
-        )
         _write(out_dir / "trace.csv", export_trace_csv(trace, manifest))
         _write(out_dir / "ratio.csv", export_ratio_csv(ratio, manifest))
         print(f"{args.experiment}: {len(ratio.points)} well-conditioned ratio layers")
@@ -400,14 +361,31 @@ def cmd_repro(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+def _matching(pattern: str, expected: str, convert=str):
+    """argparse type: ``convert(text)`` when text fully matches pattern, else exit 2."""
+    def check(text: str):
+        if re.fullmatch(pattern, text) is None:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return convert(text)
+    return check
+
+
+_POSITIVE = r"0*[1-9][0-9]*"
+_positive_int = _matching(_POSITIVE, "a positive integer", int)
+_weights_spec = _matching(rf"none|first:{_POSITIVE}|per-layer(:{_POSITIVE})?",
+                          "none | first:<w> | per-layer[:<w>] with w >= 1")
+# an edge-list path, or enzymes:<idx> with a non-negative integer index
+_graph_selector = _matching(r"(?s)enzymes:[0-9]+|(?!enzymes:).*", "enzymes:<idx> with idx >= 0")
+
+
 def _add_common(p: argparse.ArgumentParser, graph: bool = True):
     if graph:
-        p.add_argument("--graph", required=True,
+        p.add_argument("--graph", required=True, type=_graph_selector,
                        help="edge-list path, 'enzymes:<idx>', or 'cora-lcc'")
     p.add_argument("--data-dir", default=None,
                    help=f"dataset directory (default ${DATA_DIR_ENV})")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--features", type=int, default=8,
+    p.add_argument("--features", type=_positive_int, default=8,
                    help="random-input width when the graph carries no attributes")
 
 
@@ -425,9 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="deep linear propagation with metric trace")
     _add_common(p)
-    p.add_argument("--layers", type=int, default=50)
+    p.add_argument("--layers", type=_positive_int, default=50)
     p.add_argument("--operator", choices=["anorm", "anorm-tilde"], default="anorm")
-    p.add_argument("--weights", default="none",
+    p.add_argument("--weights", type=_weights_spec, default="none",
                    help="none | first:<width> | per-layer[:<width>]")
     p.add_argument("--volume-constant", action="store_true",
                    help="track energies with the 1/|V| constant")
@@ -438,16 +416,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--operator", default="delta-norm",
                    help="delta | delta-norm | delta-tilde-norm | conjugate:<base>")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--tol", type=float, default=DEFAULT_AXIOM_TOL)
     p.add_argument("--out", default=None, help="axiom report JSON path")
     p.set_defaults(func=cmd_axioms)
 
     p = sub.add_parser("ratio", help="per-layer energy-ratio trace (per-layer weights)")
     _add_common(p)
-    p.add_argument("--layers", type=int, default=50)
+    p.add_argument("--layers", type=_positive_int, default=50)
     p.add_argument("--out", default=None, help="ratio CSV path")
-    p.set_defaults(func=cmd_ratio)
+    # ratio is the simulate run with these settings fixed
+    p.set_defaults(func=cmd_ratio, operator="anorm", weights="per-layer", volume_constant=False)
 
     p = sub.add_parser("spectra", help="export eigenvalues (and optional superposition)")
     _add_common(p)
@@ -468,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("repro", help="run a named experiment recipe")
     _add_common(p, graph=False)
     p.add_argument("--experiment", required=True,
-                   choices=["fig1", "fig2", "fig3", "fig4a", "fig4b", "fig4c"])
+                   choices=list(RECIPES))
     p.add_argument("--out", default="repro-out", help="output root directory")
     p.set_defaults(func=cmd_repro)
 

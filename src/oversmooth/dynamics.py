@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .energy import as_signal, dirichlet_energy_from_operator
 from .errors import DomainError, InsufficientDataError, NumericalError
 from .graph_core import Graph, stats
-from .operators import OperatorKind, build, propagation_kernel_vector
+from .operators import LAPLACIAN_KINDS, OperatorKind, build, propagation_kernel_vector
 
 # Absolute magnitude below which double-precision energies/norms are treated
 # as having hit the underflow floor.
@@ -122,25 +123,11 @@ def propagate(g: Graph, x0, cfg: PropagationConfig) -> tuple[np.ndarray, LayerTr
     The trace has layers + 1 records (including k = 0, taken after the
     first-layer projection when FirstLayerWeights is configured).
     """
-    x = np.asarray(x0, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.shape[0] != g.n_nodes:
-        raise DomainError(f"x0 must have {g.n_nodes} rows, got {x.shape[0]}")
-    if not np.all(np.isfinite(x)):
-        raise DomainError("x0 contains non-finite entries")
+    x = as_signal(x0, g.n_nodes)
 
     prop = build(g, cfg.operator_kind).matrix
-    lap = {
-        kind: build(g, kind).matrix
-        for kind in (
-            OperatorKind.UNNORMALIZED_LAPLACIAN,
-            OperatorKind.NORMALIZED_LAPLACIAN,
-            OperatorKind.RENORMALIZED_LAPLACIAN,
-        )
-    }
+    laplacians = [build(g, kind) for kind in LAPLACIAN_KINDS]  # Delta, Delta_norm, Delta~_norm
     kernel_vec = propagation_kernel_vector(g, cfg.operator_kind)
-    vol = 1.0 / g.n_nodes if cfg.track_volume_constant else 1.0
 
     notes = []
     g_stats = stats(g)
@@ -161,13 +148,10 @@ def propagate(g: Graph, x0, cfg: PropagationConfig) -> tuple[np.ndarray, LayerTr
 
     def record(k: int, mat: np.ndarray) -> LayerRecord:
         fro = float(np.linalg.norm(mat))
-        energies = {}
-        for kind, lmat in lap.items():
-            e = 2.0 * float(np.tensordot(mat, lmat @ mat, axes=2))
-            energies[kind] = max(e, 0.0) * vol
-        e_d = energies[OperatorKind.UNNORMALIZED_LAPLACIAN]
-        e_dn = energies[OperatorKind.NORMALIZED_LAPLACIAN]
-        e_dt = energies[OperatorKind.RENORMALIZED_LAPLACIAN]
+        e_d, e_dn, e_dt = (
+            dirichlet_energy_from_operator(op, mat, cfg.track_volume_constant)
+            for op in laplacians
+        )
         if not all(np.isfinite(v) for v in (fro, e_d, e_dn, e_dt)):
             raise NumericalError(f"non-finite metric at layer {k}", layer=k)
         ratio = e_d / e_dn if e_dn > 0.0 else None
@@ -212,9 +196,7 @@ def weight_equivalence_check(
     This is the associativity identity that lets a weighted linear stack be
     read as an unweighted propagation of a transformed input.
     """
-    x = np.asarray(x0, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = as_signal(x0, g.n_nodes)
     dims = tuple(int(d) for d in dims)
     if layers is None:
         layers = len(dims)
@@ -344,8 +326,9 @@ def energy_ratio_trace(
     """Per-layer e_delta / e_delta_norm, cut where the ratio is ill-conditioned.
 
     A layer is kept only while both energies exceed the underflow floor and a
-    conditioning floor relative to their initial values; past that point the
-    energies are dominated by floating-point noise and the ratio is omitted.
+    conditioning floor relative to their initial values. The first layer that
+    fails either floor is the cut layer: from it on the energies are dominated
+    by floating-point noise and every later ratio is omitted.
     """
     if not trace.records:
         raise DomainError("empty trace")
@@ -353,10 +336,8 @@ def energy_ratio_trace(
     thr_d = max(abs_floor, rel_floor * first.e_delta)
     thr_n = max(abs_floor, rel_floor * first.e_delta_norm)
     points = []
-    cut_layer = None
     for rec in trace.records:
-        if rec.e_delta > thr_d and rec.e_delta_norm > thr_n:
-            points.append((rec.k, rec.e_delta / rec.e_delta_norm))
-        elif cut_layer is None:
-            cut_layer = rec.k
-    return RatioTrace(points=tuple(points), cut_layer=cut_layer)
+        if not (rec.e_delta > thr_d and rec.e_delta_norm > thr_n):
+            return RatioTrace(points=tuple(points), cut_layer=rec.k)
+        points.append((rec.k, rec.e_delta / rec.e_delta_norm))
+    return RatioTrace(points=tuple(points), cut_layer=None)

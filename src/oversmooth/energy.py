@@ -54,7 +54,8 @@ class AxiomCheckResult:
     note: str = ""
 
 
-def _as_signal(x, n_nodes: int) -> np.ndarray:
+def as_signal(x, n_nodes: int) -> np.ndarray:
+    """Coerce a node signal to a finite float (n_nodes, f) array; 1-D becomes one column."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
@@ -85,7 +86,7 @@ def dirichlet_energy(
     """
     if kind not in LAPLACIAN_KINDS:
         raise DomainError(f"{kind} does not induce a Dirichlet energy")
-    x = _as_signal(x, g.n_nodes)
+    x = as_signal(x, g.n_nodes)
     if x.shape[1] == 0:
         return 0.0
     op = build(g, kind)
@@ -96,16 +97,13 @@ def dirichlet_energy_from_operator(
     op: GraphOperator, x: np.ndarray, include_volume_constant: bool = False
 ) -> float:
     """Same as ``dirichlet_energy`` but reusing a prebuilt Laplacian."""
-    e = 2.0 * quadratic_form(op.matrix, x)
-    e = max(e, 0.0)
-    if include_volume_constant:
-        e /= op.n
-    return e
+    e = max(2.0 * quadratic_form(op.matrix, x), 0.0)
+    return e * (1.0 / op.n) if include_volume_constant else e
 
 
 def measure(desc: MeasureDescriptor, x) -> float:
     """Evaluate a descriptor-induced measure; clamps tiny negative traces to 0."""
-    x = _as_signal(x, desc.n)
+    x = as_signal(x, desc.n)
     if x.shape[1] == 0:
         return 0.0
     val = desc.normalization * quadratic_form(desc.inducing_matrix, x)

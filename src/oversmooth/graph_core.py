@@ -166,6 +166,10 @@ def load_tu_dataset(
         gidx = gid - 1
         local_of.append((gidx, counts[gidx]))
         counts[gidx] += 1
+    if 0 in counts:
+        raise GraphFormatError(
+            f"graph indicator skips graph id {counts.index(0) + 1} (ids must be 1..{n_graphs})"
+        )
 
     edge_lists: list[list[tuple[int, int]]] = [[] for _ in range(n_graphs)]
     for lineno, raw in enumerate(adjacency_text.splitlines(), start=1):
@@ -240,9 +244,14 @@ def load_cora(content_text: str, cites_text: str) -> tuple[Graph, np.ndarray]:
         if node_id in index:
             raise GraphFormatError(f"content line {lineno}: duplicate node id {node_id}")
         try:
-            feats.append([float(tok) for tok in parts[1:-1]])
+            row = [float(tok) for tok in parts[1:-1]]
         except ValueError:
             raise GraphFormatError(f"content line {lineno}: non-numeric feature") from None
+        if feats and len(row) != len(feats[0]):
+            raise GraphFormatError(
+                f"content line {lineno}: {len(row)} features, expected {len(feats[0])}"
+            )
+        feats.append(row)
         index[node_id] = len(ids)
         ids.append(node_id)
     if not ids:

@@ -214,22 +214,15 @@ def export_superposition_csv(
     return "\n".join(lines) + "\n"
 
 
-def find_tu_files(data_dir: str | Path, name: str = "ENZYMES") -> dict[str, Path]:
-    """Locate <name>_A.txt / <name>_graph_indicator.txt / <name>_node_attributes.txt.
-
-    Looks in data_dir and in a <name>/ subdirectory. The attributes file is
-    optional; the other two are required.
-    """
+def _find_files(
+    data_dir: str | Path, sub: str, required: dict[str, str], optional: dict[str, str]
+) -> dict[str, Path]:
+    """Map each key to the first of data_dir/<file>, data_dir/<sub>/<file> that exists."""
     data_dir = Path(data_dir)
-    required = {
-        "adjacency": f"{name}_A.txt",
-        "indicator": f"{name}_graph_indicator.txt",
-    }
-    optional = {"attributes": f"{name}_node_attributes.txt"}
     found: dict[str, Path] = {}
     missing = []
     for key, fname in {**required, **optional}.items():
-        for candidate in (data_dir / fname, data_dir / name / fname):
+        for candidate in (data_dir / fname, data_dir / sub / fname):
             if candidate.is_file():
                 found[key] = candidate
                 break
@@ -243,20 +236,19 @@ def find_tu_files(data_dir: str | Path, name: str = "ENZYMES") -> dict[str, Path
     return found
 
 
+def find_tu_files(data_dir: str | Path, name: str = "ENZYMES") -> dict[str, Path]:
+    """Locate <name>_A.txt / <name>_graph_indicator.txt / <name>_node_attributes.txt.
+
+    Looks in data_dir and in a <name>/ subdirectory. The attributes file is
+    optional; the other two are required.
+    """
+    required = {
+        "adjacency": f"{name}_A.txt",
+        "indicator": f"{name}_graph_indicator.txt",
+    }
+    return _find_files(data_dir, name, required, {"attributes": f"{name}_node_attributes.txt"})
+
+
 def find_cora_files(data_dir: str | Path) -> dict[str, Path]:
     """Locate cora.content / cora.cites in data_dir or a cora/ subdirectory."""
-    data_dir = Path(data_dir)
-    found: dict[str, Path] = {}
-    missing = []
-    for key, fname in (("content", "cora.content"), ("cites", "cora.cites")):
-        for candidate in (data_dir / fname, data_dir / "cora" / fname):
-            if candidate.is_file():
-                found[key] = candidate
-                break
-        else:
-            missing.append(fname)
-    if missing:
-        raise FileNotFoundError(
-            f"missing dataset files under {data_dir}: " + ", ".join(missing)
-        )
-    return found
+    return _find_files(data_dir, "cora", {"content": "cora.content", "cites": "cora.cites"}, {})

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .energy import as_signal, quadratic_form
 from .errors import DomainError, NumericalError
 from .graph_core import Graph
 from .operators import GraphOperator, OperatorKind, build
@@ -145,11 +146,7 @@ def energy_via_superposition_reference(g: Graph, x0, f: FilterSpec) -> float:
 
 
 def _superposition_pieces(g: Graph, x0, f: FilterSpec):
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim == 1:
-        x0 = x0[:, None]
-    if x0.shape[0] != g.n_nodes:
-        raise DomainError("signal row count does not match the graph")
+    x0 = as_signal(x0, g.n_nodes)
     dec_delta = eigendecompose(build(g, OperatorKind.UNNORMALIZED_LAPLACIAN))
     dec_norm = eigendecompose(build(g, OperatorKind.NORMALIZED_LAPLACIAN))
     s = superposition(dec_norm, dec_delta).entries  # S[a, b] = <xi_a | omega_b>
@@ -161,13 +158,10 @@ def _superposition_pieces(g: Graph, x0, f: FilterSpec):
 
 def energy_direct(g: Graph, x0, f: FilterSpec) -> float:
     """Direct evaluation tr((f(Delta_norm) X)^T Delta (f(Delta_norm) X))."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim == 1:
-        x0 = x0[:, None]
+    x0 = as_signal(x0, g.n_nodes)
     dec_norm = eigendecompose(build(g, OperatorKind.NORMALIZED_LAPLACIAN))
     xf = f.apply(dec_norm) @ x0
-    delta = build(g, OperatorKind.UNNORMALIZED_LAPLACIAN).matrix
-    return float(np.tensordot(xf, delta @ xf, axes=2))
+    return quadratic_form(build(g, OperatorKind.UNNORMALIZED_LAPLACIAN).matrix, xf)
 
 
 def energy_regular_reduction(g: Graph, x0, f: FilterSpec) -> float:
@@ -175,14 +169,9 @@ def energy_regular_reduction(g: Graph, x0, f: FilterSpec) -> float:
     d = g.degrees[0]
     if any(deg != d for deg in g.degrees):
         raise DomainError("regular-graph reduction requires a regular graph")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim == 1:
-        x0 = x0[:, None]
     dec = eigendecompose(build(g, OperatorKind.UNNORMALIZED_LAPLACIAN))
-    proj = dec.eigenvectors.T @ x0
-    mass = np.sum(proj * proj, axis=1)
     fvals = f.evaluate(dec.eigenvalues / d)
-    return float(np.sum(dec.eigenvalues * fvals * fvals * mass))
+    return float(np.sum(dec.eigenvalues * fvals * fvals * frequency_mass(x0, dec)))
 
 
 def spectral_dispersion(v, dec: SpectralDecomposition) -> float:
@@ -199,21 +188,11 @@ def spectral_dispersion(v, dec: SpectralDecomposition) -> float:
 
 def per_frequency_energy(x, dec: SpectralDecomposition) -> list[tuple[float, float]]:
     """(eigenvalue, lambda * ||q^T X||^2) per eigenvector; sums to tr(X^T M X)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.shape[0] != dec.n:
-        raise DomainError("signal row count does not match the decomposition")
-    proj = dec.eigenvectors.T @ x
-    mass = np.sum(proj * proj, axis=1)
-    comps = dec.eigenvalues * mass
+    comps = dec.eigenvalues * frequency_mass(x, dec)
     return [(float(lam), float(e)) for lam, e in zip(dec.eigenvalues, comps)]
 
 
 def frequency_mass(x, dec: SpectralDecomposition) -> np.ndarray:
     """Unweighted projection mass ||q_b^T X||^2 per eigenvector."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    proj = dec.eigenvectors.T @ x
+    proj = dec.eigenvectors.T @ as_signal(x, dec.n)
     return np.sum(proj * proj, axis=1)

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from oversmooth import OperatorKind, load_edge_list, make_graph, stats
+from oversmooth import OperatorKind, load_edge_list, make_graph
+from oversmooth.synthetic import random_connected_graph, write_synthetic_enzymes  # noqa: F401
 
 PENDANT_TRIANGLE_TEXT = "n 4\n0 1\n0 2\n0 3\n1 2\n"
 
@@ -29,26 +30,6 @@ def k2():
     return make_graph(2, [(0, 1)])
 
 
-def random_connected_graph(rng, n, p=0.35, regular=None, bipartite=None):
-    """Sample an Erdos-Renyi graph until the structural predicates match.
-
-    regular/bipartite: None = don't care, True/False = require that value.
-    """
-    for _ in range(1000):
-        mask = rng.random((n, n)) < p
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]]
-        g = make_graph(n, edges)
-        st = stats(g)
-        if not st.connected:
-            continue
-        if regular is not None and st.regular != regular:
-            continue
-        if bipartite is not None and st.bipartite != bipartite:
-            continue
-        return g
-    raise AssertionError("could not sample a graph with the requested properties")
-
-
 def edge_sum_energy(g, x, kind, include_volume_constant=False):
     """Independent oracle: direct neighbor-sum over both edge directions."""
     x = np.asarray(x, dtype=float)
@@ -69,41 +50,6 @@ def edge_sum_energy(g, x, kind, include_volume_constant=False):
     if include_volume_constant:
         total /= g.n_nodes
     return total
-
-
-def write_synthetic_enzymes(data_dir, seed=20240817, n_graphs=19, attr_width=6):
-    """Write a TU-format dataset whose indices 0/10/18 mirror the shapes used
-    in the experiments: a 37-node non-regular graph, K4, and K2."""
-    rng = np.random.default_rng(seed)
-    graphs = []
-    for idx in range(n_graphs):
-        if idx == 0:
-            graphs.append(random_connected_graph(rng, 37, 0.13, regular=False,
-                                                 bipartite=False))
-        elif idx == 10:
-            graphs.append(make_graph(4, itertools.combinations(range(4), 2)))
-        elif idx == 18:
-            graphs.append(make_graph(2, [(0, 1)]))
-        else:
-            n = int(rng.integers(3, 12))
-            graphs.append(random_connected_graph(rng, n, 0.5))
-
-    adjacency, indicator, attributes = [], [], []
-    offset = 0
-    for gidx, g in enumerate(graphs, start=1):
-        for i, j in sorted(g.edges):
-            adjacency.append(f"{offset + i + 1}, {offset + j + 1}")
-            adjacency.append(f"{offset + j + 1}, {offset + i + 1}")
-        indicator.extend([str(gidx)] * g.n_nodes)
-        for _ in range(g.n_nodes):
-            attributes.append(",".join(f"{v:.6f}" for v in rng.standard_normal(attr_width)))
-        offset += g.n_nodes
-
-    data_dir.mkdir(parents=True, exist_ok=True)
-    (data_dir / "ENZYMES_A.txt").write_text("\n".join(adjacency) + "\n")
-    (data_dir / "ENZYMES_graph_indicator.txt").write_text("\n".join(indicator) + "\n")
-    (data_dir / "ENZYMES_node_attributes.txt").write_text("\n".join(attributes) + "\n")
-    return graphs
 
 
 @pytest.fixture

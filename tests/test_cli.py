@@ -228,6 +228,21 @@ class TestRepro:
         monkeypatch.delenv("OVERSMOOTH_DATA_DIR", raising=False)
         assert main(["repro", "--experiment", "fig1"]) == 1
 
+    def test_fig1_trace_equals_simulate_run(self, synthetic_enzymes_dir, tmp_path, capsys):
+        data = str(synthetic_enzymes_dir)
+        assert main([
+            "repro", "--experiment", "fig1", "--data-dir", data, "--out", str(tmp_path / "r"),
+        ]) == 0
+        assert main([
+            "simulate", "--graph", "enzymes:0", "--data-dir", data, "--layers", "50",
+            "--weights", "none", "--volume-constant", "--out", str(tmp_path / "s"),
+        ]) == 0
+        repro, sim = (
+            [l for l in (tmp_path / d / "trace.csv").read_text().splitlines() if l[0] != "#"]
+            for d in ("r/fig1", "s")
+        )
+        assert len(repro) == 52 and repro == sim  # header + layers 0..50
+
 
 class TestUsageErrors:
     def test_unknown_command_is_exit_2(self, capsys):
@@ -238,6 +253,20 @@ class TestUsageErrors:
     def test_missing_required_flag_is_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["analyze"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("simulate", "--graph", "enzymes:abc"),
+        ("simulate", "--layers", "0"),
+        ("simulate", "--weights", "bogus"),
+        ("simulate", "--weights", "first:0"),
+        ("simulate", "--features", "0"),
+        ("ratio", "--features", "0"),
+        ("axioms", "--trials", "0"),
+    ])
+    def test_invalid_value_is_exit_2(self, command, flag, value, k4_edgelist, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--graph", k4_edgelist, flag, value, "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
 
     def test_missing_file_is_exit_1(self, capsys):

@@ -20,6 +20,7 @@ from oversmooth.dynamics import (
     PropagationConfig,
     compatible_energy,
 )
+from oversmooth.energy import DEFAULT_SEED
 
 from conftest import random_connected_graph
 
@@ -244,3 +245,15 @@ class TestEnergyRatioTrace:
         ratio = energy_ratio_trace(trace)
         assert ratio.cut_layer is not None
         assert all(k < ratio.cut_layer for k, _ in ratio.points)
+
+    def test_long_p3_run_keeps_nothing_past_the_cut(self, p3):
+        # the `oversmooth ratio --graph <P3> --layers 2000` run: past the cut the
+        # energies climb out of the noise now and then, and none of those layers may be kept
+        x0 = np.random.default_rng(DEFAULT_SEED).standard_normal((3, 8))
+        cfg = PropagationConfig(
+            layers=2000, weight_mode=PerLayerWeights(dims=(8,) * 2000, seed=DEFAULT_SEED)
+        )
+        _, trace = propagate(p3, x0, cfg)
+        ratio = energy_ratio_trace(trace)
+        assert ratio.cut_layer is not None
+        assert [k for k, _ in ratio.points] == list(range(ratio.cut_layer))

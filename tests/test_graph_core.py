@@ -134,6 +134,10 @@ class TestTUDataset:
         with pytest.raises(GraphFormatError, match="row count"):
             load_tu_dataset(self.TOY_ADJ, self.TOY_IND, "1.0\n2.0\n")
 
+    def test_skipped_graph_id_named(self):
+        with pytest.raises(GraphFormatError, match="skips graph id 2"):
+            load_tu_dataset("1, 2\n2, 1\n", "1\n1\n3\n")
+
     def test_synthetic_dataset_shapes(self, synthetic_enzymes_dir):
         adj = (synthetic_enzymes_dir / "ENZYMES_A.txt").read_text()
         ind = (synthetic_enzymes_dir / "ENZYMES_graph_indicator.txt").read_text()
@@ -165,6 +169,10 @@ class TestCora:
     def test_duplicate_node_rejected(self):
         with pytest.raises(GraphFormatError, match="duplicate"):
             load_cora(self.CONTENT + "a 0.0 0.0 labelA\n", self.CITES)
+
+    def test_ragged_row_names_its_line(self):
+        with pytest.raises(GraphFormatError, match="content line 4: 3 features, expected 2"):
+            load_cora(self.CONTENT + "d 1.0 0.0 1.0 labelB\n", self.CITES)
 
 
 class TestLargestConnectedComponent:
