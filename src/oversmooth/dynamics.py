@@ -125,7 +125,7 @@ def propagate(g: Graph, x0, cfg: PropagationConfig) -> tuple[np.ndarray, LayerTr
     """
     x = as_signal(x0, g.n_nodes)
 
-    prop = build(g, cfg.operator_kind).matrix
+    prop = build(g, cfg.operator_kind)
     laplacians = [build(g, kind) for kind in LAPLACIAN_KINDS]  # Delta, Delta_norm, Delta~_norm
     kernel_vec = propagation_kernel_vector(g, cfg.operator_kind)
 
@@ -146,8 +146,10 @@ def propagate(g: Graph, x0, cfg: PropagationConfig) -> tuple[np.ndarray, LayerTr
             raise DomainError("per-layer weight dims must have one width per layer")
         weights = _weight_chain(cfg.weight_mode, x.shape[1])
 
+    # every metric is a fixed-order numpy reduction (no BLAS), so unweighted
+    # traces do not depend on the BLAS thread count
     def record(k: int, mat: np.ndarray) -> LayerRecord:
-        fro = float(np.linalg.norm(mat))
+        fro = float(np.sqrt(np.sum(mat * mat)))
         e_d, e_dn, e_dt = (
             dirichlet_energy_from_operator(op, mat, cfg.track_volume_constant)
             for op in laplacians
@@ -157,7 +159,8 @@ def propagate(g: Graph, x0, cfg: PropagationConfig) -> tuple[np.ndarray, LayerTr
         ratio = e_d / e_dn if e_dn > 0.0 else None
         align = None
         if fro >= 1e-300:
-            align = float(np.linalg.norm(kernel_vec @ mat) / fro)
+            proj = np.sum(kernel_vec[:, None] * mat, axis=0)
+            align = float(np.sqrt(np.sum(proj * proj)) / fro)
             align = min(max(align, 0.0), 1.0)
         return LayerRecord(
             k=k, fro_norm=fro, e_delta=e_d, e_delta_norm=e_dn,
@@ -202,7 +205,7 @@ def weight_equivalence_check(
         layers = len(dims)
     if len(dims) != layers:
         raise DomainError("dims must provide one output width per layer")
-    prop = build(g, operator_kind).matrix
+    prop = build(g, operator_kind)
     chain = _weight_chain(PerLayerWeights(dims=dims, seed=seed), x.shape[1])
 
     interleaved = x

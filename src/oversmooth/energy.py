@@ -66,9 +66,13 @@ def as_signal(x, n_nodes: int) -> np.ndarray:
     return x
 
 
-def quadratic_form(matrix: np.ndarray, x: np.ndarray) -> float:
-    """tr(X^T M X) without forming the full product."""
-    return float(np.tensordot(x, matrix @ x, axes=2))
+def quadratic_form(matrix: GraphOperator | np.ndarray, x: np.ndarray) -> float:
+    """tr(X^T M X) as the sum of X * (M X), for a CSR operator or a dense matrix.
+
+    The sum is a fixed-order numpy reduction, so for an operator the value does
+    not depend on the BLAS thread count.
+    """
+    return float(np.sum(x * (matrix @ x)))
 
 
 def dirichlet_energy(
@@ -97,7 +101,7 @@ def dirichlet_energy_from_operator(
     op: GraphOperator, x: np.ndarray, include_volume_constant: bool = False
 ) -> float:
     """Same as ``dirichlet_energy`` but reusing a prebuilt Laplacian."""
-    e = max(2.0 * quadratic_form(op.matrix, x), 0.0)
+    e = max(2.0 * quadratic_form(op, x), 0.0)
     return e * (1.0 / op.n) if include_volume_constant else e
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,15 +56,37 @@ class Graph:
             adj[j].append(i)
         return adj
 
-    def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n_nodes, self.n_nodes))
-        for i, j in self.edges:
-            a[i, j] = 1.0
-            a[j, i] = 1.0
-        return a
-
     def degree_vector(self) -> np.ndarray:
         return np.asarray(self.degrees, dtype=float)
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """Read-only (n_edges, 2) array of the (min, max) pairs in sorted order, made once."""
+        arr = np.array(sorted(self.edges), dtype=np.intp).reshape(-1, 2)
+        arr.flags.writeable = False
+        return arr
+
+    @cached_property
+    def _components(self) -> tuple[tuple[int, ...], ...]:
+        # breadth-first search, run once per graph; read through connected_components
+        adj = self.neighbors()
+        seen = [False] * self.n_nodes
+        comps = []
+        for start in range(self.n_nodes):
+            if seen[start]:
+                continue
+            comp = []
+            queue = deque([start])
+            seen[start] = True
+            while queue:
+                u = queue.popleft()
+                comp.append(u)
+                for v in adj[u]:
+                    if not seen[v]:
+                        seen[v] = True
+                        queue.append(v)
+            comps.append(tuple(sorted(comp)))
+        return tuple(comps)
 
 
 @dataclass(frozen=True)
@@ -277,25 +300,11 @@ def load_cora(content_text: str, cites_text: str) -> tuple[Graph, np.ndarray]:
 
 
 def connected_components(g: Graph) -> list[list[int]]:
-    """Components as sorted node lists, via breadth-first search."""
-    adj = g.neighbors()
-    seen = [False] * g.n_nodes
-    comps = []
-    for start in range(g.n_nodes):
-        if seen[start]:
-            continue
-        comp = []
-        queue = deque([start])
-        seen[start] = True
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        comps.append(sorted(comp))
-    return comps
+    """Components as sorted node lists, via breadth-first search.
+
+    The search runs once per graph; every call returns a fresh copy.
+    """
+    return [list(comp) for comp in g._components]
 
 
 def largest_connected_component(

@@ -196,10 +196,16 @@ def export_spectra_csv(dec: SpectralDecomposition, manifest: RunManifest | None 
     return "\n".join(lines) + "\n"
 
 
+def _matrix_rows(matrix: np.ndarray) -> list[str]:
+    """One "%.17g" CSV line per row, formatted a row at a time to bound memory."""
+    matrix = np.asarray(matrix, dtype=float)
+    fmt = ",".join(["%.17g"] * matrix.shape[1])
+    return [fmt % tuple(row.tolist()) for row in matrix]
+
+
 def export_matrix_csv(matrix: np.ndarray, manifest: RunManifest | None = None) -> str:
     lines = list(manifest.preamble_lines()) if manifest else []
-    for row in np.asarray(matrix, dtype=float):
-        lines.append(",".join(g17(float(v)) for v in row))
+    lines.extend(_matrix_rows(matrix))
     return "\n".join(lines) + "\n"
 
 
@@ -209,8 +215,7 @@ def export_superposition_csv(
     lines = list(manifest.preamble_lines()) if manifest else []
     lines.append(f"# row_basis_kind: {sup.row_basis_kind.value}")
     lines.append(f"# col_basis_kind: {sup.col_basis_kind.value}")
-    for row in sup.entries:
-        lines.append(",".join(g17(float(v)) for v in row))
+    lines.extend(_matrix_rows(sup.entries))
     return "\n".join(lines) + "\n"
 
 

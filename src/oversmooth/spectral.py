@@ -78,13 +78,12 @@ def eigendecompose(op: GraphOperator) -> SpectralDecomposition:
     Each eigenvector is flipped so that its largest-magnitude entry is
     positive, making outputs deterministic across runs.
     """
-    vals, vecs = np.linalg.eigh(op.matrix)
-    for b in range(vecs.shape[1]):
-        pivot = int(np.argmax(np.abs(vecs[:, b])))
-        if vecs[pivot, b] < 0:
-            vecs[:, b] = -vecs[:, b]
-    scale = max(float(np.linalg.norm(op.matrix)), 1e-300)
-    residual = float(np.linalg.norm((vecs * vals[None, :]) @ vecs.T - op.matrix))
+    m = op.matrix
+    vals, vecs = np.linalg.eigh(m)
+    pivot = np.argmax(np.abs(vecs), axis=0)
+    vecs *= np.where(vecs[pivot, np.arange(vecs.shape[1])] < 0, -1.0, 1.0)
+    scale = max(float(np.linalg.norm(m)), 1e-300)
+    residual = float(np.linalg.norm((vecs * vals[None, :]) @ vecs.T - m))
     if residual > RECONSTRUCTION_TOL * scale:
         raise NumericalError(
             f"eigendecomposition residual {residual:.3e} exceeds tolerance", residual=residual
@@ -161,7 +160,7 @@ def energy_direct(g: Graph, x0, f: FilterSpec) -> float:
     x0 = as_signal(x0, g.n_nodes)
     dec_norm = eigendecompose(build(g, OperatorKind.NORMALIZED_LAPLACIAN))
     xf = f.apply(dec_norm) @ x0
-    return quadratic_form(build(g, OperatorKind.UNNORMALIZED_LAPLACIAN).matrix, xf)
+    return quadratic_form(build(g, OperatorKind.UNNORMALIZED_LAPLACIAN), xf)
 
 
 def energy_regular_reduction(g: Graph, x0, f: FilterSpec) -> float:

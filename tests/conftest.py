@@ -57,3 +57,36 @@ def synthetic_enzymes_dir(tmp_path):
     data_dir = tmp_path / "data"
     write_synthetic_enzymes(data_dir)
     return data_dir
+
+
+def dense_adjacency(g):
+    a = np.zeros((g.n_nodes, g.n_nodes))
+    for i, j in g.edges:
+        a[i, j] = a[j, i] = 1.0
+    return a
+
+
+def dense_operator(g, kind):
+    """Independent oracle: the standard operators as dense n x n formulas."""
+    a = dense_adjacency(g)
+    d = g.degree_vector()
+    eye = np.eye(g.n_nodes)
+    if kind is OperatorKind.UNNORMALIZED_LAPLACIAN:
+        return np.diag(d) - a
+    if kind in (OperatorKind.NORMALIZED_LAPLACIAN, OperatorKind.NORMALIZED_ADJACENCY):
+        s = 1.0 / np.sqrt(d)
+        m = s[:, None] * a * s[None, :]
+    else:
+        s = 1.0 / np.sqrt(d + 1.0)
+        m = s[:, None] * (a + eye) * s[None, :]
+    if kind in (OperatorKind.NORMALIZED_LAPLACIAN, OperatorKind.RENORMALIZED_LAPLACIAN):
+        return eye - m
+    return m
+
+
+def ring_with_chords(n, n_chords, seed):
+    """Connected sparse graph: an n-cycle plus n_chords random chords."""
+    rng = np.random.default_rng(seed)
+    pairs = [(i, (i + 1) % n) for i in range(n)]
+    pairs += [(int(i), int(j)) for i, j in rng.integers(0, n, size=(n_chords, 2)) if i != j]
+    return make_graph(n, pairs)

@@ -1,10 +1,25 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import oversmooth
+from oversmooth import serialize_edge_list
 from oversmooth.cli import main
 
-from conftest import PENDANT_TRIANGLE_TEXT
+from conftest import PENDANT_TRIANGLE_TEXT, ring_with_chords
+
+SRC = str(Path(oversmooth.__file__).resolve().parents[1])
+
+
+def _python(args, env=None):
+    """Run a fresh interpreter with the package's sources on its path."""
+    env = {**os.environ, "PYTHONPATH": SRC, **(env or {})}
+    return subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True, text=True)
 
 
 @pytest.fixture
@@ -276,3 +291,29 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+class TestFreshProcess:
+    def test_unweighted_simulate_is_blas_thread_count_independent(self, tmp_path):
+        graph = tmp_path / "ring.txt"
+        graph.write_text(serialize_edge_list(ring_with_chords(1200, 1000, seed=4)))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            _python(["-m", "oversmooth.cli", "simulate", "--graph", str(graph), "--out", str(out)],
+                    env={"OPENBLAS_NUM_THREADS": threads})
+            outputs.append([_strip_timestamps((out / name).read_text())
+                            for name in ("trace.csv", "report.json")])
+        assert outputs[0] == outputs[1]
+
+    def test_cli_runs_import_no_scipy(self, synthetic_enzymes_dir, tmp_path):
+        code = (
+            "import sys\n"
+            "import oversmooth.cli as cli\n"
+            f"data, out = {str(synthetic_enzymes_dir)!r}, {str(tmp_path / 'out')!r}\n"
+            "assert cli.main(['simulate', '--graph', 'enzymes:0', '--data-dir', data,"
+            " '--out', out]) == 0\n"
+            "assert cli.main(['axioms', '--graph', 'enzymes:0', '--data-dir', data]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        )
+        assert _python(["-c", code]).stdout.splitlines()[-1] == "[]"

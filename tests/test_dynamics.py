@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,8 +22,29 @@ from oversmooth.dynamics import (
     compatible_energy,
 )
 from oversmooth.energy import DEFAULT_SEED
+from oversmooth.operators import LAPLACIAN_KINDS, propagation_kernel_vector
 
-from conftest import random_connected_graph
+from conftest import (
+    dense_operator,
+    random_connected_graph,
+    ring_with_chords,
+    write_synthetic_enzymes,
+)
+
+
+def _dense_reference_trace(g, x, kind, layers):
+    """Rows (fro, e_delta, e_delta_norm, e_delta_tilde_norm, alignment) from dense operators."""
+    prop = dense_operator(g, kind)
+    laplacians = [dense_operator(g, lk) for lk in LAPLACIAN_KINDS]
+    v = propagation_kernel_vector(g, kind)
+    rows = []
+    for k in range(layers + 1):
+        if k:
+            x = prop @ x
+        fro = float(np.linalg.norm(x))
+        energies = [2.0 * float(np.tensordot(x, m @ x, axes=2)) for m in laplacians]
+        rows.append([fro, *energies, float(np.linalg.norm(v @ x)) / fro])
+    return np.array(rows)
 
 
 class TestPropagate:
@@ -107,6 +129,43 @@ class TestPropagate:
         cfg = PropagationConfig(layers=3, weight_mode=PerLayerWeights(dims=(2, 2), seed=0))
         with pytest.raises(DomainError):
             propagate(k4, np.ones((4, 2)), cfg)
+
+
+class TestSparseAgainstDense:
+    @pytest.mark.parametrize("kind", [OperatorKind.NORMALIZED_ADJACENCY,
+                                      OperatorKind.RENORMALIZED_ADJACENCY])
+    def test_trace_matches_dense_path(self, kind, tmp_path, pendant_triangle, p3, k4, k2):
+        rng = np.random.default_rng(8)
+        graphs = [pendant_triangle, p3, k4, k2, *write_synthetic_enzymes(tmp_path),
+                  *(random_connected_graph(rng, int(rng.integers(3, 30))) for _ in range(20))]
+        for g in graphs:
+            x0 = np.random.default_rng(g.n_nodes).standard_normal((g.n_nodes, 5))
+            _, trace = propagate(g, x0, PropagationConfig(layers=50, operator_kind=kind))
+            got = np.array([[r.fro_norm, r.e_delta, r.e_delta_norm, r.e_delta_tilde_norm,
+                             r.kernel_alignment] for r in trace.records])
+            want = _dense_reference_trace(g, x0, kind, 50)
+            # 1e-12 relative to the value, or to its layer-0 value once the
+            # energies sink into the cancellation noise of the quadratic form
+            scale = np.maximum(np.abs(want), np.abs(want[0]))
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+            # ratios agree while every energy is above 1e-4 of its initial value
+            live = np.all(want[:, 1:4] > 1e-4 * want[0, 1:4], axis=1)
+            ratio = np.array([r.ratio for r in trace.records])[live]
+            want_ratio = want[live, 1] / want[live, 2]
+            assert np.all(np.abs(ratio - want_ratio) <= 1e-12 * want_ratio)
+
+    def test_propagate_makes_no_dense_matrix(self):
+        n = 5000
+        g = ring_with_chords(n, n, seed=3)
+        x0 = np.random.default_rng(0).standard_normal((n, 4))
+        tracemalloc.start()
+        try:
+            propagate(g, x0, PropagationConfig(layers=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one dense n x n float64 matrix would be 200 MB
+        assert peak < n * n * 8 / 20
 
 
 class TestWeightEquivalence:

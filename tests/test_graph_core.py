@@ -1,3 +1,4 @@
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,6 +107,54 @@ def test_degree_sum_property(g):
 @given(small_graphs())
 def test_regularity_matches_degree_extremes(g):
     assert stats(g).regular == (max(g.degrees) == min(g.degrees))
+
+
+def _nx_graph(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n_nodes))
+    h.add_edges_from(g.edges)
+    return h
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_components_match_networkx(g):
+    want = sorted(sorted(c) for c in nx.connected_components(_nx_graph(g)))
+    assert sorted(connected_components(g)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_bipartite_and_connected_match_networkx(g):
+    h = _nx_graph(g)
+    st_g = stats(g)
+    assert st_g.bipartite == nx.is_bipartite(h)
+    assert st_g.connected == nx.is_connected(h)
+
+
+def _networkx_lcc(g):
+    """LCC by networkx: largest size, ties to the smallest minimum node id."""
+    h = _nx_graph(g)
+    best = max(nx.connected_components(h), key=lambda c: (len(c), -min(c)))
+    return nx.convert_node_labels_to_integers(h.subgraph(sorted(best)), ordering="sorted")
+
+
+def test_largest_component_tie_break_matches_networkx():
+    rng = np.random.default_rng(5)
+    ties = 0
+    for _ in range(300):
+        n = int(rng.integers(4, 30))
+        mask = rng.random((n, n)) < 1.5 / n
+        g = make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]])
+        comps = connected_components(g)
+        largest = [c for c in comps if len(c) == max(map(len, comps))]
+        ties += len(largest) > 1
+        sub, x = largest_connected_component(g, np.arange(float(n)))
+        want = _networkx_lcc(g)
+        assert sub.n_nodes == want.number_of_nodes()
+        assert sub.edges == frozenset((min(e), max(e)) for e in want.edges)
+        assert x.tolist() == [float(v) for v in min(largest)]
+    assert ties >= 20  # the tie-break branch is exercised
 
 
 class TestTUDataset:
@@ -230,3 +279,24 @@ class TestStats:
     def test_components(self):
         g = make_graph(5, [(0, 4), (1, 2)])
         assert connected_components(g) == [[0, 4], [1, 2], [3]]
+
+    def test_components_searched_once_and_returned_as_copies(self, monkeypatch):
+        g = make_graph(5, [(0, 4), (1, 2)])
+        calls = []
+        original = type(g).neighbors
+        monkeypatch.setattr(type(g), "neighbors", lambda self: calls.append(1) or original(self))
+        first = connected_components(g)
+        first[0].append(99)
+        first.append([7])
+        assert connected_components(g) == [[0, 4], [1, 2], [3]]
+        stats(g)
+        largest_connected_component(g)
+        assert len(calls) == 2  # one search for the components, one for bipartiteness
+
+    def test_edge_array_is_sorted_and_read_only(self, pendant_triangle):
+        e = pendant_triangle.edge_array
+        assert e.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2]]
+        assert e is pendant_triangle.edge_array
+        with pytest.raises(ValueError):
+            e[0, 0] = 3
+        assert make_graph(3, []).edge_array.shape == (0, 2)

@@ -16,6 +16,7 @@ from oversmooth import (
 )
 from oversmooth.dynamics import PerLayerWeights, PropagationConfig
 from oversmooth.energy import AxiomCheckResult
+from oversmooth.spectral import SuperpositionMatrix
 from oversmooth.io_formats import (
     RunManifest,
     export_axiom_report_json,
@@ -155,6 +156,17 @@ class TestOtherExports:
         text = export_matrix_csv(m)
         rows = [[float(c) for c in l.split(",")] for l in text.strip().splitlines()]
         np.testing.assert_array_equal(np.array(rows), m)
+
+    def test_matrix_rows_equal_per_value_formatting(self):
+        big, tiny = np.finfo(float).max, np.finfo(float).tiny
+        m = np.array([[0.0, -0.0, 5e-324, -5e-324], [big, -big, tiny, 1.0 / 3.0],
+                      [np.pi, -1e-300, 1e300, 0.1]])
+        want = "".join(",".join(g17(float(v)) for v in row) + "\n" for row in m)
+        assert export_matrix_csv(m) == want
+        sup = SuperpositionMatrix(entries=m, row_basis_kind=OperatorKind.NORMALIZED_LAPLACIAN,
+                                  col_basis_kind=OperatorKind.UNNORMALIZED_LAPLACIAN)
+        assert export_superposition_csv(sup).endswith("# col_basis_kind: delta\n" + want)
+        assert "-0," in want and "4.9406564584124654e-324" in want
 
     def test_superposition_csv(self, pendant_triangle):
         a = eigendecompose(build(pendant_triangle, OperatorKind.NORMALIZED_LAPLACIAN))

@@ -11,9 +11,17 @@ from oversmooth import (
     kernel_generator,
     make_graph,
 )
-from oversmooth.operators import LAPLACIAN_KINDS, propagation_kernel_vector
+from oversmooth.operators import LAPLACIAN_KINDS, GraphOperator, propagation_kernel_vector
 
-from conftest import random_connected_graph
+from conftest import dense_adjacency, dense_operator, random_connected_graph
+
+STANDARD_KINDS = (
+    OperatorKind.UNNORMALIZED_LAPLACIAN,
+    OperatorKind.NORMALIZED_LAPLACIAN,
+    OperatorKind.RENORMALIZED_LAPLACIAN,
+    OperatorKind.NORMALIZED_ADJACENCY,
+    OperatorKind.RENORMALIZED_ADJACENCY,
+)
 
 
 class TestBuild:
@@ -52,6 +60,59 @@ class TestBuild:
     def test_custom_requires_symmetry(self, p3):
         with pytest.raises(DomainError, match="symmetric"):
             custom_operator("bad", np.array([[0.0, 1.0, 0], [0, 0, 0], [0, 0, 0]]), p3)
+
+
+class TestCsr:
+    def test_dense_view_equals_dense_formula_bit_for_bit(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            n = int(rng.integers(2, 25))
+            g = random_connected_graph(rng, n, float(rng.uniform(0.15, 0.9)))
+            for kind in STANDARD_KINDS:
+                got = build(g, kind).matrix
+                want = dense_operator(g, kind)
+                assert got.tobytes() == want.tobytes(), (n, kind)
+
+    def test_layout_sorted_rows_with_explicit_diagonal(self, pendant_triangle):
+        op = build(pendant_triangle, OperatorKind.NORMALIZED_ADJACENCY)
+        assert op.indptr.tolist() == [0, 4, 7, 10, 12]
+        assert op.indices.tolist() == [0, 1, 2, 3, 0, 1, 2, 0, 1, 2, 0, 3]
+        assert op.data[[0, 5, 9, 11]].tolist() == [0.0, 0.0, 0.0, 0.0]  # A_norm diagonal
+        assert op.n == 4
+
+    @pytest.mark.parametrize("kind", STANDARD_KINDS)
+    def test_product_matches_dense(self, kind, pendant_triangle):
+        op = build(pendant_triangle, kind)
+        x = np.random.default_rng(0).standard_normal((4, 3))
+        np.testing.assert_allclose(op @ x, op.matrix @ x, rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(op @ x[:, 0], op.matrix @ x[:, 0], rtol=1e-15, atol=1e-15)
+        assert (op @ x[:, 0]).shape == (4,)
+
+    def test_single_node_graph(self):
+        g = make_graph(1, [])
+        op = build(g, OperatorKind.UNNORMALIZED_LAPLACIAN)
+        assert op.matrix.tolist() == [[0.0]]
+        assert (op @ np.ones((1, 2))).tolist() == [[0.0, 0.0]]
+
+    def test_asymmetric_csr_values_rejected(self, pendant_triangle):
+        op = build(pendant_triangle, OperatorKind.UNNORMALIZED_LAPLACIAN)
+        data = op.data.copy()
+        data[1] += 1e-6  # entry (0, 1) without its mirror (1, 0)
+        with pytest.raises(DomainError, match="symmetric"):
+            GraphOperator(kind=op.kind, indptr=op.indptr, indices=op.indices, data=data,
+                          graph_ref=pendant_triangle)
+
+    def test_asymmetric_csr_pattern_rejected(self, p3):
+        # row 0 lists column 1 but row 1 does not list column 0
+        with pytest.raises(DomainError, match="symmetric"):
+            GraphOperator(kind=OperatorKind.CUSTOM, indptr=np.array([0, 2, 3, 4]),
+                          indices=np.array([0, 1, 1, 2]), data=np.ones(4), graph_ref=p3)
+
+    def test_custom_operator_round_trips_through_csr(self, pendant_triangle):
+        m = dense_operator(pendant_triangle, OperatorKind.RENORMALIZED_LAPLACIAN)
+        op = custom_operator("copy", m, pendant_triangle)
+        assert op.matrix.tobytes() == m.tobytes()
+        assert op.kind is OperatorKind.CUSTOM
 
 
 class TestKernels:
@@ -99,7 +160,7 @@ class TestCommutators:
         assert is_commuting_pair(p, p)
 
     def test_adjacency_degree_noncommutation_entries(self, pendant_triangle):
-        a = custom_operator("adjacency", pendant_triangle.adjacency_matrix(), pendant_triangle)
+        a = custom_operator("adjacency", dense_adjacency(pendant_triangle), pendant_triangle)
         d = custom_operator("degree", np.diag(pendant_triangle.degree_vector()), pendant_triangle)
         ad = a.matrix @ d.matrix
         da = d.matrix @ a.matrix

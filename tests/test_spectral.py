@@ -38,6 +38,22 @@ class TestEigendecompose:
             (q * dec.eigenvalues[None, :]) @ q.T, op.matrix, atol=1e-12
         )
 
+    def test_sign_convention_matches_per_column_rule(self, k4, pendant_triangle):
+        cycle4 = make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        tied = 0
+        for g in (cycle4, k4, pendant_triangle):
+            for kind in (OperatorKind.UNNORMALIZED_LAPLACIAN, OperatorKind.NORMALIZED_LAPLACIAN):
+                op = build(g, kind)
+                _, want = np.linalg.eigh(op.matrix)
+                for b in range(want.shape[1]):
+                    mags = np.abs(want[:, b])
+                    tied += int(np.sum(mags == mags.max()) > 1)
+                    pivot = int(np.argmax(mags))
+                    if want[pivot, b] < 0:
+                        want[:, b] = -want[:, b]
+                assert eigendecompose(op).eigenvectors.tobytes() == want.tobytes()
+        assert tied > 0  # columns whose largest magnitude is attained more than once
+
     def test_normalized_kernel_eigenvector(self, pendant_triangle):
         dec = eigendecompose(build(pendant_triangle, OperatorKind.NORMALIZED_LAPLACIAN))
         assert dec.eigenvalues[0] == pytest.approx(0.0, abs=1e-12)
