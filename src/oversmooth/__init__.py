@@ -21,12 +21,10 @@ from .graph_core import (  # noqa: F401
 )
 from .operators import (  # noqa: F401
     GraphOperator,
-    KernelGenerator,
     OperatorKind,
     build,
+    commutation,
     commutator,
-    custom_operator,
-    is_commuting_pair,
     kernel_generator,
 )
 from .energy import (  # noqa: F401
@@ -45,8 +43,6 @@ from .spectral import (  # noqa: F401
     SuperpositionMatrix,
     eigendecompose,
     energy_via_superposition,
-    per_frequency_energy,
-    spectral_dispersion,
     superposition,
 )
 from .dynamics import (  # noqa: F401

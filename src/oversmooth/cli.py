@@ -55,7 +55,7 @@ from .io_formats import (
     find_cora_files,
     find_tu_files,
 )
-from .operators import OperatorKind, build, commutator, is_commuting_pair
+from .operators import PROPAGATION_KINDS, OperatorKind, build, commutation
 from .spectral import eigendecompose, superposition
 
 DATA_DIR_ENV = "OVERSMOOTH_DATA_DIR"
@@ -185,8 +185,7 @@ def cmd_analyze(args) -> int:
     if st.connected:
         p = build(g, OperatorKind.NORMALIZED_LAPLACIAN)
         q = build(g, OperatorKind.UNNORMALIZED_LAPLACIAN)
-        doc["laplacians_commute"] = is_commuting_pair(p, q)
-        doc["commutator_frobenius_norm"] = float(np.linalg.norm(commutator(p, q)))
+        doc["laplacians_commute"], doc["commutator_frobenius_norm"] = commutation(p, q)
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
 
@@ -404,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="deep linear propagation with metric trace")
     _add_common(p)
     p.add_argument("--layers", type=_positive_int, default=50)
-    p.add_argument("--operator", choices=["anorm", "anorm-tilde"], default="anorm")
+    p.add_argument("--operator", default="anorm", choices=sorted(
+        label for label, kind in OPERATOR_ALIASES.items() if kind in PROPAGATION_KINDS))
     p.add_argument("--weights", type=_weights_spec, default="none",
                    help="none | first:<width> | per-layer[:<width>]")
     p.add_argument("--volume-constant", action="store_true",

@@ -16,7 +16,15 @@ import numpy as np
 from .energy import as_signal, dirichlet_energy_from_operator
 from .errors import DomainError, InsufficientDataError, NumericalError
 from .graph_core import Graph, stats
-from .operators import LAPLACIAN_KINDS, OperatorKind, build, propagation_kernel_vector
+from .operators import (
+    KINDS,
+    LAPLACIAN_KINDS,
+    PROPAGATION_KINDS,
+    OperatorKind,
+    build,
+    paired_laplacian,
+    propagation_kernel_vector,
+)
 
 # Absolute magnitude below which double-precision energies/norms are treated
 # as having hit the underflow floor.
@@ -24,8 +32,6 @@ NUMERICAL_FLOOR = 1e-290
 # Energies below this fraction of their initial value are dominated by
 # cancellation noise (eps * ||X||_F^2); ratios computed there are meaningless.
 RATIO_CONDITIONING_FLOOR = 1e-5
-
-PROPAGATION_KINDS = (OperatorKind.NORMALIZED_ADJACENCY, OperatorKind.RENORMALIZED_ADJACENCY)
 
 
 @dataclass(frozen=True)
@@ -56,6 +62,7 @@ class PropagationConfig:
 
 @dataclass(frozen=True)
 class LayerRecord:
+    # each energy field is named e_<value> of its Laplacian's OperatorKind
     k: int
     fro_norm: float
     e_delta: float
@@ -131,7 +138,7 @@ def propagate(g: Graph, x0, cfg: PropagationConfig) -> tuple[np.ndarray, LayerTr
 
     notes = []
     g_stats = stats(g)
-    if g_stats.bipartite and cfg.operator_kind is OperatorKind.NORMALIZED_ADJACENCY:
+    if g_stats.bipartite and KINDS[cfg.operator_kind].bipartite_minus_one:
         notes.append(
             "bipartite graph under the normalized adjacency: eigenvalue -1 "
             "prevents convergence"
@@ -259,9 +266,7 @@ def fit_decay(series, floor: float = NUMERICAL_FLOOR) -> DecayFit:
 
 def compatible_energy(trace: LayerTrace, rec: LayerRecord) -> float:
     """The energy induced by the Laplacian paired with the trace's propagation operator."""
-    if trace.operator_kind is OperatorKind.NORMALIZED_ADJACENCY:
-        return rec.e_delta_norm
-    return rec.e_delta_tilde_norm
+    return getattr(rec, f"e_{paired_laplacian(trace.operator_kind).value}")
 
 
 def classify_regime(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .graph_core import Graph
-from .operators import LAPLACIAN_KINDS, GraphOperator, OperatorKind, build
+from .operators import KINDS, LAPLACIAN_KINDS, GraphOperator, OperatorKind, build
 
 DEFAULT_SEED = 789001361
 DEFAULT_AXIOM_TOL = 1e-8  # absolute, on unit-Frobenius-norm signals
@@ -25,26 +25,19 @@ DEFAULT_AXIOM_TOL = 1e-8  # absolute, on unit-Frobenius-norm signals
 
 @dataclass(frozen=True, eq=False)
 class MeasureDescriptor:
-    """Node-similarity measure induced by a symmetric PSD matrix.
+    """Node-similarity measure induced by a symmetric PSD operator M.
 
     mu(X) = normalization * tr(X^T M X), square-rooted when ``take_sqrt``.
+    The operator's own check makes M square and symmetric.
     """
 
-    inducing_matrix: np.ndarray
+    operator: GraphOperator
     normalization: float = 1.0
     take_sqrt: bool = False
 
-    def __post_init__(self):
-        m = self.inducing_matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DomainError("inducing matrix must be square")
-        scale = max(1.0, float(np.abs(m).max()))
-        if float(np.abs(m - m.T).max()) > 1e-10 * scale:
-            raise DomainError("inducing matrix must be symmetric")
-
     @property
     def n(self) -> int:
-        return self.inducing_matrix.shape[0]
+        return self.operator.n
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,13 +59,13 @@ def as_signal(x, n_nodes: int) -> np.ndarray:
     return x
 
 
-def quadratic_form(matrix: GraphOperator | np.ndarray, x: np.ndarray) -> float:
-    """tr(X^T M X) as the sum of X * (M X), for a CSR operator or a dense matrix.
+def quadratic_form(op: GraphOperator, x: np.ndarray) -> float:
+    """tr(X^T M X) as the sum of X * (M X) for a CSR operator M.
 
-    The sum is a fixed-order numpy reduction, so for an operator the value does
-    not depend on the BLAS thread count.
+    Product and sum are fixed-order numpy reductions, so the value does not
+    depend on the BLAS thread count.
     """
-    return float(np.sum(x * (matrix @ x)))
+    return float(np.sum(x * (op @ x)))
 
 
 def dirichlet_energy(
@@ -110,8 +103,8 @@ def measure(desc: MeasureDescriptor, x) -> float:
     x = as_signal(x, desc.n)
     if x.shape[1] == 0:
         return 0.0
-    val = desc.normalization * quadratic_form(desc.inducing_matrix, x)
-    scale = max(1.0, float(np.linalg.norm(desc.inducing_matrix)) * float(np.sum(x * x)))
+    val = desc.normalization * quadratic_form(desc.operator, x)
+    scale = max(1.0, float(np.linalg.norm(desc.operator.data)) * float(np.sum(x * x)))
     if val < -1e-9 * scale:
         raise NumericalError(f"measure trace is negative ({val}); inducing matrix not PSD?")
     val = max(val, 0.0)
@@ -125,43 +118,44 @@ def descriptor_for(
     include_volume_constant: bool = False,
 ) -> MeasureDescriptor:
     """Descriptor whose plain trace form matches the chosen Laplacian."""
-    op = build(g, kind)
     return MeasureDescriptor(
-        inducing_matrix=op.matrix,
+        operator=build(g, kind),
         normalization=(1.0 / g.n_nodes) if include_volume_constant else 1.0,
         take_sqrt=take_sqrt,
     )
 
 
 def constant_signal_energy_closed_form(g: Graph, kind: OperatorKind, c: float) -> float:
-    """Closed form c^2 * sum_i sum_{j in N_i} (1/sqrt(d_i+s) - 1/sqrt(d_j+s))^2."""
-    if kind is OperatorKind.NORMALIZED_LAPLACIAN:
-        shift = 0.0
-    elif kind is OperatorKind.RENORMALIZED_LAPLACIAN:
-        shift = 1.0
-    else:
+    """Closed form c^2 * sum_i sum_{j in N_i} (1/sqrt(d_i+s) - 1/sqrt(d_j+s))^2.
+
+    s is the degree shift of the chosen normalized Laplacian; the sum runs over
+    the edge array, counting each edge in both directions.
+    """
+    if kind not in LAPLACIAN_KINDS or KINDS[kind].shift is None:
         raise DomainError("closed form applies to the normalized Laplacian kinds")
-    d = g.degree_vector() + shift
+    d = g.degree_vector() + KINDS[kind].shift
     if d.min() <= 0:
         raise DomainError("closed form needs positive shifted degrees")
     inv = 1.0 / np.sqrt(d)
-    total = 0.0
-    for i, j in g.edges:
-        total += 2.0 * (inv[i] - inv[j]) ** 2  # both edge directions
-    return c * c * total
+    diff = inv[g.edge_array[:, 0]] - inv[g.edge_array[:, 1]]
+    return c * c * 2.0 * float(np.sum(diff * diff))
 
 
 def normalize_conjugation(desc: MeasureDescriptor, g: Graph) -> MeasureDescriptor:
-    """Descriptor with inducing matrix D^{-1/2} M D^{-1/2}."""
+    """Descriptor with inducing operator D^{-1/2} M D^{-1/2}: entry (i, j) scaled by s_i s_j."""
     d = g.degree_vector()
     if desc.n != g.n_nodes:
         raise DomainError("descriptor size does not match the graph")
     if d.min() < 1:
         raise DomainError("conjugation needs minimum degree >= 1")
     s = 1.0 / np.sqrt(d)
-    m = s[:, None] * desc.inducing_matrix * s[None, :]
+    op = desc.operator
+    conjugated = GraphOperator(
+        kind=OperatorKind.CUSTOM, indptr=op.indptr, indices=op.indices,
+        data=s[op.rows()] * op.data * s[op.indices], graph_ref=g,
+    )
     return MeasureDescriptor(
-        inducing_matrix=m, normalization=desc.normalization, take_sqrt=desc.take_sqrt
+        operator=conjugated, normalization=desc.normalization, take_sqrt=desc.take_sqrt
     )
 
 
@@ -182,10 +176,10 @@ def axiom1_check(
     """Numerically check axiom 1: mu(X) = 0 iff all rows of X are equal.
 
     Forward direction evaluates constant-row signals; reverse direction
-    evaluates random non-constant unit-Frobenius signals and the specific
-    degree-weighted candidate D^{-1/2} 1 (which sits in the kernel of
-    degree-conjugated operators while being non-constant on non-regular
-    graphs). Returns the first violating signal as witness.
+    evaluates the degree-weighted candidate D^{1/2} 1 and random non-constant
+    unit-Frobenius signals. D^{1/2} 1 spans the kernel of Delta_norm and of
+    the conjugated D^{-1/2} Delta D^{-1/2}, and is non-constant on a
+    non-regular graph. Returns the first violating signal as witness.
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")
@@ -213,16 +207,14 @@ def axiom1_check(
                 )
 
     # (<=) non-constant signals must give a strictly positive value.
-    d = g.degree_vector()
-    if d.min() >= 1:
-        w = (1.0 / np.sqrt(d))[:, None]
-        if not _is_constant_rows(w):
-            unit = w / np.linalg.norm(w)
-            if squared(unit) <= tol:
-                return AxiomCheckResult(
-                    holds=False, witness=w,
-                    note="non-constant degree-weighted signal has zero measure",
-                )
+    w = KINDS[OperatorKind.NORMALIZED_LAPLACIAN].kernel_direction(g)[:, None]
+    if not _is_constant_rows(w):
+        unit = w / np.linalg.norm(w)
+        if squared(unit) <= tol:
+            return AxiomCheckResult(
+                holds=False, witness=w,
+                note="non-constant degree-weighted signal has zero measure",
+            )
     for _ in range(trials):
         x = rng.standard_normal((desc.n, n_features))
         x /= np.linalg.norm(x)

@@ -1,4 +1,4 @@
-"""Graph operators as sparse (CSR) symmetric matrices, commutators, kernel generators."""
+"""The table of operator kinds, graph operators as symmetric CSR matrices, commutators."""
 
 from __future__ import annotations
 
@@ -20,24 +20,44 @@ class OperatorKind(Enum):
     RENORMALIZED_LAPLACIAN = "delta_tilde_norm"
     NORMALIZED_ADJACENCY = "a_norm"
     RENORMALIZED_ADJACENCY = "a_tilde_norm"
-    CUSTOM = "custom"
+    CUSTOM = "custom"  # an operator build() did not make, e.g. a conjugated descriptor
 
 
-LAPLACIAN_KINDS = (
-    OperatorKind.UNNORMALIZED_LAPLACIAN,
-    OperatorKind.NORMALIZED_LAPLACIAN,
-    OperatorKind.RENORMALIZED_LAPLACIAN,
-)
+@dataclass(frozen=True)
+class KindSpec:
+    """What the package knows of one standard operator kind.
+
+    ``laplacian`` is the kind itself for a Laplacian L; for a propagation P it
+    is the Laplacian paired with it, P = I - L, whose energy is compatible
+    with P and whose kernel holds P's fixed direction. ``shift`` is s in the
+    normalization (D + sI)^{-1/2}, None for the unnormalized D - A.
+    ``bipartite_minus_one`` marks a kind with the eigenvalue -1 on bipartite
+    graphs.
+    """
+
+    laplacian: OperatorKind
+    shift: float | None
+    bipartite_minus_one: bool = False
+
+    def kernel_direction(self, g: Graph) -> np.ndarray:
+        """(D + sI)^{1/2} 1, or 1 when unnormalized: the paired Laplacian's kernel, unscaled."""
+        if self.shift is None:
+            return np.ones(g.n_nodes)
+        return np.sqrt(g.degree_vector() + self.shift)
 
 
-# degree shift of each standard kind: 1 for the self-loop (renormalized) variants
-_SHIFT = {
-    OperatorKind.UNNORMALIZED_LAPLACIAN: 0.0,
-    OperatorKind.NORMALIZED_LAPLACIAN: 0.0,
-    OperatorKind.NORMALIZED_ADJACENCY: 0.0,
-    OperatorKind.RENORMALIZED_LAPLACIAN: 1.0,
-    OperatorKind.RENORMALIZED_ADJACENCY: 1.0,
+# the one table of operator kinds; every kind-dependent choice reads it
+KINDS = {
+    OperatorKind.UNNORMALIZED_LAPLACIAN: KindSpec(OperatorKind.UNNORMALIZED_LAPLACIAN, None),
+    OperatorKind.NORMALIZED_LAPLACIAN: KindSpec(OperatorKind.NORMALIZED_LAPLACIAN, 0.0),
+    OperatorKind.RENORMALIZED_LAPLACIAN: KindSpec(OperatorKind.RENORMALIZED_LAPLACIAN, 1.0),
+    OperatorKind.NORMALIZED_ADJACENCY: KindSpec(
+        OperatorKind.NORMALIZED_LAPLACIAN, 0.0, bipartite_minus_one=True
+    ),
+    OperatorKind.RENORMALIZED_ADJACENCY: KindSpec(OperatorKind.RENORMALIZED_LAPLACIAN, 1.0),
 }
+LAPLACIAN_KINDS = tuple(k for k, spec in KINDS.items() if spec.laplacian is k)
+PROPAGATION_KINDS = tuple(k for k, spec in KINDS.items() if spec.laplacian is not k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,12 +75,11 @@ class GraphOperator:
     indices: np.ndarray
     data: np.ndarray
     graph_ref: Graph
-    name: str | None = None  # label for CUSTOM operators
 
     def __post_init__(self):
         if self.n != self.graph_ref.n_nodes:
             raise DomainError("operator size does not match the graph")
-        rows = self._rows()
+        rows = self.rows()
         # the transpose lists the same (row, column) pairs, reordered by column
         order = np.lexsort((rows, self.indices))
         if not (
@@ -76,14 +95,15 @@ class GraphOperator:
     def n(self) -> int:
         return self.indptr.shape[0] - 1
 
-    def _rows(self) -> np.ndarray:
+    def rows(self) -> np.ndarray:
+        """Row index of every stored entry, aligned with ``indices`` and ``data``."""
         return np.repeat(np.arange(self.n), np.diff(self.indptr))
 
     @property
     def matrix(self) -> np.ndarray:
         """Dense n x n copy, made on demand (eigendecomposition, export, commutators)."""
         m = np.zeros((self.n, self.n))
-        m[self._rows(), self.indices] = self.data
+        m[self.rows(), self.indices] = self.data
         return m
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
@@ -98,12 +118,6 @@ class GraphOperator:
         terms *= self.data[:, None]
         out = np.add.reduceat(terms, self.indptr[:-1], axis=0)
         return out if x.ndim == 2 else out[:, 0]
-
-
-@dataclass(frozen=True, eq=False)
-class KernelGenerator:
-    vector: np.ndarray  # unit norm
-    operator_kind: OperatorKind
 
 
 def _require_connected(g: Graph):
@@ -139,82 +153,65 @@ def build(g: Graph, kind: OperatorKind) -> GraphOperator:
     dense view equals them bit for bit.
     """
     _require_connected(g)
-    d = g.degree_vector()
-
-    if kind in (OperatorKind.NORMALIZED_LAPLACIAN, OperatorKind.NORMALIZED_ADJACENCY):
-        if d.min() < 1:
-            raise DomainError("normalized operators need minimum degree >= 1")
-    if kind not in _SHIFT:
+    spec = KINDS.get(kind)
+    if spec is None:
         raise DomainError("build() handles only the standard operator kinds")
+    d = g.degree_vector()
+    if spec.shift is not None and d.min() + spec.shift <= 0:
+        raise DomainError("normalized operators need minimum degree >= 1")
 
     rows, cols = _csr_pattern(g)
     diag = rows == cols
     eye = np.where(diag, 1.0, 0.0)
-    a = np.where(diag, _SHIFT[kind], 1.0)  # A, or A + I for the self-loop variants
-    if kind is OperatorKind.UNNORMALIZED_LAPLACIAN:
-        data = eye * d[rows] - a
+    if spec.shift is None:
+        data = eye * d[rows] - np.where(diag, 0.0, 1.0)
     else:
-        s = 1.0 / np.sqrt(d + _SHIFT[kind])
-        data = s[rows] * a * s[cols]
-        if kind in LAPLACIAN_KINDS:
+        s = 1.0 / np.sqrt(d + spec.shift)
+        data = s[rows] * np.where(diag, spec.shift, 1.0) * s[cols]  # A, or A + I when s = 1
+        if spec.laplacian is kind:
             data = eye - data
     return GraphOperator(
         kind=kind, indptr=_indptr(rows, g.n_nodes), indices=cols, data=data, graph_ref=g
     )
 
 
-def custom_operator(name: str, matrix: np.ndarray, g: Graph) -> GraphOperator:
-    """Wrap an arbitrary symmetric matrix as an operator on ``g``."""
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError("operator matrix must be square")
-    if m.shape[0] != g.n_nodes:
-        raise DomainError("operator size does not match the graph")
-    scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.T).max()) > SYMMETRY_TOL * scale:
-        raise DomainError("operator matrix is not symmetric")
-    rows, cols = np.nonzero((m != 0.0) | np.eye(g.n_nodes, dtype=bool))
-    return GraphOperator(
-        kind=OperatorKind.CUSTOM, indptr=_indptr(rows, g.n_nodes), indices=cols,
-        data=m[rows, cols], graph_ref=g, name=name,
-    )
-
-
 def commutator(p: GraphOperator, q: GraphOperator) -> np.ndarray:
-    """PQ - QP for two operators on the same graph."""
+    """PQ - QP for two operators on the same graph, as a dense matrix."""
     if p.graph_ref != q.graph_ref or p.n != q.n:
         raise DomainError("commutator requires operators on the same graph")
     pm, qm = p.matrix, q.matrix
     return pm @ qm - qm @ pm
 
 
-def is_commuting_pair(
+def commutation(
     p: GraphOperator, q: GraphOperator, tol: float = DEFAULT_COMMUTATION_TOL
-) -> bool:
-    """True iff ||PQ - QP||_F <= tol * ||P||_F * ||Q||_F."""
-    c = commutator(p, q)
-    scale = float(np.linalg.norm(p.matrix) * np.linalg.norm(q.matrix))
-    return float(np.linalg.norm(c)) <= tol * scale
+) -> tuple[bool, float]:
+    """(commutes, ||PQ - QP||_F) from one commutator.
+
+    The pair commutes iff ||PQ - QP||_F <= tol * ||P||_F * ||Q||_F; the
+    operators' norms are read from their stored entries.
+    """
+    norm = float(np.linalg.norm(commutator(p, q)))
+    scale = float(np.linalg.norm(p.data) * np.linalg.norm(q.data))
+    return norm <= tol * scale, norm
 
 
-def kernel_generator(g: Graph, kind: OperatorKind) -> KernelGenerator:
+def kernel_generator(g: Graph, kind: OperatorKind) -> np.ndarray:
     """Unit vector spanning the kernel of the requested Laplacian on a connected graph."""
     _require_connected(g)
     if kind not in LAPLACIAN_KINDS:
         raise DomainError(f"{kind} is not a Laplacian kind")
-    if kind is OperatorKind.UNNORMALIZED_LAPLACIAN:
-        v = np.ones(g.n_nodes)
-    elif kind is OperatorKind.NORMALIZED_LAPLACIAN:
-        v = np.sqrt(g.degree_vector())
-    else:
-        v = np.sqrt(g.degree_vector() + 1.0)
-    return KernelGenerator(vector=v / np.linalg.norm(v), operator_kind=kind)
+    v = KINDS[kind].kernel_direction(g)
+    return v / np.linalg.norm(v)
+
+
+def paired_laplacian(kind: OperatorKind) -> OperatorKind:
+    """The Laplacian L of a propagation P = I - L, whose energy is compatible with P."""
+    if kind not in PROPAGATION_KINDS:
+        raise DomainError(f"{kind} is not a propagation operator")
+    return KINDS[kind].laplacian
 
 
 def propagation_kernel_vector(g: Graph, kind: OperatorKind) -> np.ndarray:
     """Unit fixed-point direction of a propagation operator (eigenvalue-1 eigenvector)."""
-    if kind is OperatorKind.NORMALIZED_ADJACENCY:
-        return kernel_generator(g, OperatorKind.NORMALIZED_LAPLACIAN).vector
-    if kind is OperatorKind.RENORMALIZED_ADJACENCY:
-        return kernel_generator(g, OperatorKind.RENORMALIZED_LAPLACIAN).vector
-    raise DomainError(f"{kind} is not a propagation operator")
+    return kernel_generator(g, paired_laplacian(kind))

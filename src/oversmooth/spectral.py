@@ -173,24 +173,6 @@ def energy_regular_reduction(g: Graph, x0, f: FilterSpec) -> float:
     return float(np.sum(dec.eigenvalues * fvals * fvals * frequency_mass(x0, dec)))
 
 
-def spectral_dispersion(v, dec: SpectralDecomposition) -> float:
-    """1 - max_b <v_hat, q_b>^2: 0 for frequency-localized, toward 1 when scattered."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise DomainError("spectral dispersion of the zero vector is undefined")
-    if v.shape[0] != dec.n:
-        raise DomainError("vector dimension does not match the decomposition")
-    coeffs = dec.eigenvectors.T @ (v / norm)
-    return float(1.0 - np.max(coeffs * coeffs))
-
-
-def per_frequency_energy(x, dec: SpectralDecomposition) -> list[tuple[float, float]]:
-    """(eigenvalue, lambda * ||q^T X||^2) per eigenvector; sums to tr(X^T M X)."""
-    comps = dec.eigenvalues * frequency_mass(x, dec)
-    return [(float(lam), float(e)) for lam, e in zip(dec.eigenvalues, comps)]
-
-
 def frequency_mass(x, dec: SpectralDecomposition) -> np.ndarray:
     """Unweighted projection mass ||q_b^T X||^2 per eigenvector."""
     proj = dec.eigenvectors.T @ as_signal(x, dec.n)

@@ -4,10 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oversmooth
-from oversmooth import serialize_edge_list
+from oversmooth import GraphOperator, serialize_edge_list
 from oversmooth.cli import main
 
 from conftest import PENDANT_TRIANGLE_TEXT, ring_with_chords
@@ -65,6 +66,25 @@ class TestAnalyze:
         doc = json.loads(capsys.readouterr().out)
         assert doc["regular"] is True
         assert doc["laplacians_commute"] is True
+
+    def test_commutator_is_computed_once(self, pendant_triangle_edgelist, monkeypatch):
+        # count dense operator copies and the matrix products taken with them
+        counts = {"copies": 0, "products": 0}
+
+        class Counted(np.ndarray):
+            def __matmul__(self, other):
+                counts["products"] += 1
+                return np.asarray(self) @ np.asarray(other)
+
+        dense = GraphOperator.matrix.fget
+
+        def counted(op):
+            counts["copies"] += 1
+            return dense(op).view(Counted)
+
+        monkeypatch.setattr(GraphOperator, "matrix", property(counted))
+        assert main(["analyze", "--graph", pendant_triangle_edgelist]) == 0
+        assert counts == {"copies": 2, "products": 2}
 
 
 class TestSimulate:

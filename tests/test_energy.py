@@ -19,6 +19,8 @@ from oversmooth import (
     normalize_conjugation,
 )
 
+from oversmooth.operators import GraphOperator
+
 from conftest import edge_sum_energy, random_connected_graph
 
 P3_CONSTANT_ENERGY = 6.0 - 4.0 * math.sqrt(2.0)
@@ -115,9 +117,13 @@ class TestMeasure:
         x = np.column_stack([kernel, kernel + np.array([1.0, 0, 0, 0])])
         assert measure(desc, x) > 1e-3
 
-    def test_asymmetric_inducing_matrix_rejected(self):
-        with pytest.raises(DomainError):
-            MeasureDescriptor(inducing_matrix=np.array([[0.0, 1.0], [0.0, 0.0]]))
+    def test_asymmetric_inducing_matrix_rejected(self, k2):
+        # the descriptor's operator rejects [[0, 1], [0, 0]] on construction
+        with pytest.raises(DomainError, match="symmetric"):
+            MeasureDescriptor(GraphOperator(
+                kind=OperatorKind.CUSTOM, indptr=np.array([0, 2, 3]),
+                indices=np.array([0, 1, 1]), data=np.array([0.0, 1.0, 0.0]), graph_ref=k2,
+            ))
 
 
 class TestClosedForm:
@@ -168,6 +174,21 @@ class TestAxiom1:
         desc = descriptor_for(k4, OperatorKind.NORMALIZED_LAPLACIAN, take_sqrt=True)
         assert axiom1_check(desc, k4).holds is True
 
+    def test_degree_weighted_kernel_signal_is_found(self, pendant_triangle):
+        # M = I - 11^T/n - vv^T is PSD with kernel span{1, D^{1/2} 1} (v: centred
+        # unit D^{1/2} 1): constants pass, the non-constant D^{1/2} 1 has zero measure
+        n = pendant_triangle.n_nodes
+        w = np.sqrt(pendant_triangle.degree_vector())
+        v = (w - w.mean()) / np.linalg.norm(w - w.mean())
+        m = np.eye(n) - np.ones((n, n)) / n - np.outer(v, v)
+        full = GraphOperator(kind=OperatorKind.CUSTOM, indptr=np.arange(0, n * n + 1, n),
+                             indices=np.tile(np.arange(n), n), data=m.ravel(),
+                             graph_ref=pendant_triangle)
+        result = axiom1_check(MeasureDescriptor(full, take_sqrt=True), pendant_triangle)
+        assert result.holds is False
+        assert result.note == "non-constant degree-weighted signal has zero measure"
+        np.testing.assert_allclose(result.witness[:, 0], w, rtol=1e-15)
+
     def test_trials_validation(self, k4):
         desc = descriptor_for(k4, OperatorKind.UNNORMALIZED_LAPLACIAN)
         with pytest.raises(DomainError):
@@ -200,12 +221,13 @@ class TestNormalizeConjugation:
         desc = descriptor_for(pendant_triangle, OperatorKind.UNNORMALIZED_LAPLACIAN)
         conj = normalize_conjugation(desc, pendant_triangle)
         want = build(pendant_triangle, OperatorKind.NORMALIZED_LAPLACIAN).matrix
-        np.testing.assert_allclose(conj.inducing_matrix, want, atol=1e-12)
+        np.testing.assert_allclose(conj.operator.matrix, want, atol=1e-12)
 
     def test_identity_on_k4_scales(self, k4):
-        desc = MeasureDescriptor(inducing_matrix=np.eye(4))
-        conj = normalize_conjugation(desc, k4)
-        np.testing.assert_allclose(conj.inducing_matrix, np.eye(4) / 3.0, atol=1e-15)
+        identity = GraphOperator(kind=OperatorKind.CUSTOM, indptr=np.arange(5),
+                                 indices=np.arange(4), data=np.ones(4), graph_ref=k4)
+        conj = normalize_conjugation(MeasureDescriptor(identity), k4)
+        np.testing.assert_allclose(conj.operator.matrix, np.eye(4) / 3.0, atol=1e-15)
 
     def test_conjugation_breaks_axiom1_on_nonregular(self, p3):
         desc = descriptor_for(p3, OperatorKind.UNNORMALIZED_LAPLACIAN, take_sqrt=True)

@@ -4,16 +4,28 @@ import pytest
 from oversmooth import (
     DomainError,
     OperatorKind,
+    PropagationConfig,
     build,
+    commutation,
     commutator,
-    custom_operator,
-    is_commuting_pair,
+    constant_signal_energy_closed_form,
+    dirichlet_energy,
     kernel_generator,
     make_graph,
+    propagate,
+    stats,
 )
-from oversmooth.operators import LAPLACIAN_KINDS, GraphOperator, propagation_kernel_vector
+from oversmooth.dynamics import compatible_energy
+from oversmooth.energy import quadratic_form
+from oversmooth.operators import (
+    KINDS,
+    LAPLACIAN_KINDS,
+    PROPAGATION_KINDS,
+    GraphOperator,
+    propagation_kernel_vector,
+)
 
-from conftest import dense_adjacency, dense_operator, random_connected_graph
+from conftest import dense_adjacency, dense_operator, edge_sum_energy, random_connected_graph
 
 STANDARD_KINDS = (
     OperatorKind.UNNORMALIZED_LAPLACIAN,
@@ -56,10 +68,6 @@ class TestBuild:
         g = make_graph(4, [(0, 1), (2, 3)])
         with pytest.raises(DomainError, match="connected"):
             build(g, OperatorKind.UNNORMALIZED_LAPLACIAN)
-
-    def test_custom_requires_symmetry(self, p3):
-        with pytest.raises(DomainError, match="symmetric"):
-            custom_operator("bad", np.array([[0.0, 1.0, 0], [0, 0, 0], [0, 0, 0]]), p3)
 
 
 class TestCsr:
@@ -108,12 +116,6 @@ class TestCsr:
             GraphOperator(kind=OperatorKind.CUSTOM, indptr=np.array([0, 2, 3, 4]),
                           indices=np.array([0, 1, 1, 2]), data=np.ones(4), graph_ref=p3)
 
-    def test_custom_operator_round_trips_through_csr(self, pendant_triangle):
-        m = dense_operator(pendant_triangle, OperatorKind.RENORMALIZED_LAPLACIAN)
-        op = custom_operator("copy", m, pendant_triangle)
-        assert op.matrix.tobytes() == m.tobytes()
-        assert op.kind is OperatorKind.CUSTOM
-
 
 class TestKernels:
     @pytest.mark.parametrize("seed", range(5))
@@ -121,20 +123,20 @@ class TestKernels:
         rng = np.random.default_rng(seed)
         g = random_connected_graph(rng, int(rng.integers(3, 15)))
         for kind in LAPLACIAN_KINDS:
-            gen = kernel_generator(g, kind)
-            resid = np.abs(build(g, kind).matrix @ gen.vector).max()
+            v = kernel_generator(g, kind)
+            resid = np.abs(build(g, kind).matrix @ v).max()
             assert resid <= 1e-9
 
     def test_p3_normalized_kernel_vector(self, p3):
-        v = kernel_generator(p3, OperatorKind.NORMALIZED_LAPLACIAN).vector
+        v = kernel_generator(p3, OperatorKind.NORMALIZED_LAPLACIAN)
         np.testing.assert_allclose(v, [0.5, np.sqrt(2) / 2, 0.5], atol=1e-12)
 
     def test_unnormalized_kernel_is_constant(self, pendant_triangle):
-        v = kernel_generator(pendant_triangle, OperatorKind.UNNORMALIZED_LAPLACIAN).vector
+        v = kernel_generator(pendant_triangle, OperatorKind.UNNORMALIZED_LAPLACIAN)
         assert np.ptp(v) == 0.0
 
     def test_k4_self_loop_kernel_is_constant(self, k4):
-        v = kernel_generator(k4, OperatorKind.RENORMALIZED_LAPLACIAN).vector
+        v = kernel_generator(k4, OperatorKind.RENORMALIZED_LAPLACIAN)
         assert np.ptp(v) <= 1e-15
 
     def test_propagation_fixed_point(self, pendant_triangle):
@@ -153,32 +155,32 @@ class TestCommutators:
         p = build(k4, OperatorKind.NORMALIZED_LAPLACIAN)
         q = build(k4, OperatorKind.UNNORMALIZED_LAPLACIAN)
         assert float(np.linalg.norm(commutator(p, q))) <= 1e-12
-        assert is_commuting_pair(p, q)
+        assert commutation(p, q)[0]
 
     def test_self_commutation(self, pendant_triangle):
         p = build(pendant_triangle, OperatorKind.UNNORMALIZED_LAPLACIAN)
-        assert is_commuting_pair(p, p)
+        assert commutation(p, p)[0]
 
     def test_adjacency_degree_noncommutation_entries(self, pendant_triangle):
-        a = custom_operator("adjacency", dense_adjacency(pendant_triangle), pendant_triangle)
-        d = custom_operator("degree", np.diag(pendant_triangle.degree_vector()), pendant_triangle)
-        ad = a.matrix @ d.matrix
-        da = d.matrix @ a.matrix
+        a = dense_adjacency(pendant_triangle)
+        d = np.diag(pendant_triangle.degree_vector())
+        ad = a @ d
+        da = d @ a
         assert ad[0][1] == 2.0
         assert da[0][1] == 3.0
-        assert np.abs(commutator(a, d)).max() > 0.0
+        assert np.abs(ad - da).max() > 0.0
 
     def test_pendant_triangle_laplacians_do_not_commute(self, pendant_triangle):
         p = build(pendant_triangle, OperatorKind.NORMALIZED_LAPLACIAN)
         q = build(pendant_triangle, OperatorKind.UNNORMALIZED_LAPLACIAN)
         assert float(np.linalg.norm(commutator(p, q))) > 1e-6
-        assert not is_commuting_pair(p, q)
+        assert not commutation(p, q)[0]
 
     def test_regular_graphs_commute(self):
         cycle5 = make_graph(5, [(i, (i + 1) % 5) for i in range(5)])
         p = build(cycle5, OperatorKind.NORMALIZED_LAPLACIAN)
         q = build(cycle5, OperatorKind.UNNORMALIZED_LAPLACIAN)
-        assert is_commuting_pair(p, q)
+        assert commutation(p, q)[0]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_unequal_degree_edge_breaks_commutation(self, seed):
@@ -187,10 +189,80 @@ class TestCommutators:
         assert any(g.degrees[i] != g.degrees[j] for i, j in g.edges)
         p = build(g, OperatorKind.NORMALIZED_LAPLACIAN)
         q = build(g, OperatorKind.UNNORMALIZED_LAPLACIAN)
-        assert not is_commuting_pair(p, q)
+        assert not commutation(p, q)[0]
 
     def test_different_graphs_rejected(self, p3, k4):
         p = build(p3, OperatorKind.UNNORMALIZED_LAPLACIAN)
         q = build(k4, OperatorKind.UNNORMALIZED_LAPLACIAN)
         with pytest.raises(DomainError):
             commutator(p, q)
+
+
+class TestKindTable:
+    """Invariants of every row of ``operators.KINDS`` on random connected graphs."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        rng = np.random.default_rng(4242)
+        return [
+            random_connected_graph(rng, int(rng.integers(2, 16)), float(rng.uniform(0.15, 0.8)))
+            for _ in range(120)
+        ]
+
+    def test_rows_are_the_standard_kinds(self):
+        assert set(KINDS) == set(STANDARD_KINDS)
+        assert set(LAPLACIAN_KINDS) | set(PROPAGATION_KINDS) == set(STANDARD_KINDS)
+        assert all(KINDS[k].laplacian in LAPLACIAN_KINDS for k in PROPAGATION_KINDS)
+
+    def test_paired_laplacian_annihilates_its_kernel_generator(self, graphs):
+        for g in graphs:
+            for spec in KINDS.values():
+                v = kernel_generator(g, spec.laplacian)
+                assert np.abs(build(g, spec.laplacian) @ v).max() <= 1e-12
+
+    def test_propagation_is_identity_minus_paired_laplacian(self, graphs):
+        for g in graphs:
+            for kind in PROPAGATION_KINDS:
+                p = build(g, kind)
+                lap = build(g, KINDS[kind].laplacian)
+                assert np.array_equal(np.eye(g.n_nodes) - p.matrix, lap.matrix), kind
+                v = propagation_kernel_vector(g, kind)
+                np.testing.assert_allclose(p @ v, v, rtol=0.0, atol=1e-12)
+
+    def test_laplacian_rows_have_no_fixed_direction(self, p3):
+        for kind in LAPLACIAN_KINDS:
+            with pytest.raises(DomainError, match="not a propagation operator"):
+                propagation_kernel_vector(p3, kind)
+
+    def test_compatible_energy_is_the_paired_laplacians_column(self, graphs):
+        rng = np.random.default_rng(7)
+        for g in graphs:
+            x0 = rng.standard_normal((g.n_nodes, 2))
+            for kind in PROPAGATION_KINDS:
+                _, trace = propagate(g, x0, PropagationConfig(layers=1, operator_kind=kind))
+                want = dirichlet_energy(g, x0, KINDS[kind].laplacian)
+                assert compatible_energy(trace, trace.records[0]) == want
+
+    def test_closed_form_matches_the_quadratic_form(self, graphs):
+        for g in graphs:
+            x = np.full((g.n_nodes, 1), 1.5)
+            for spec in KINDS.values():
+                want = 2.0 * quadratic_form(build(g, spec.laplacian), x)
+                if spec.shift is None:
+                    with pytest.raises(DomainError):
+                        constant_signal_energy_closed_form(g, spec.laplacian, 1.5)
+                    assert abs(want) <= 1e-12
+                    continue
+                got = constant_signal_energy_closed_form(g, spec.laplacian, 1.5)
+                assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+                # the per-edge loop, summed in another order
+                loop = edge_sum_energy(g, x, spec.laplacian)
+                assert got == pytest.approx(loop, rel=1e-12, abs=1e-15)
+
+    def test_bipartite_flag_marks_the_minus_one_eigenvalue(self, graphs):
+        bipartite = [stats(g).bipartite for g in graphs]
+        assert sum(bipartite) >= 10
+        for g, is_bipartite in zip(graphs, bipartite):
+            for kind, spec in KINDS.items():
+                lowest = np.linalg.eigvalsh(build(g, kind).matrix)[0]
+                assert (abs(lowest + 1.0) <= 1e-9) == (is_bipartite and spec.bipartite_minus_one)
