@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from oversmooth import (
     stats,
 )
 from oversmooth.graph_core import connected_components
+from oversmooth.synthetic import write_synthetic_enzymes
 
 from conftest import PENDANT_TRIANGLE_TEXT
 
@@ -199,6 +203,118 @@ class TestTUDataset:
         assert g10.n_nodes == 4 and all(d == 3 for d in g10.degrees)
         g18, _ = out[18]
         assert g18.n_nodes == 2 and g18.n_edges == 1
+
+
+    def test_interleaved_indicator_keeps_original_order_local_ids(self):
+        # graph 1 holds global nodes 1, 3, 5 and graph 2 nodes 2, 4
+        adj = "1, 3\n3, 1\n3, 5\n5, 3\n4, 2\n2, 4\n"
+        attrs = "1.0\n2.0\n3.0\n4.0\n5.0\n"
+        (g1, x1), (g2, x2) = load_tu_dataset(adj, "1\n2\n1\n2\n1\n", attrs)
+        assert g1 == make_graph(3, [(0, 1), (1, 2)])
+        assert list(g1.degrees) == [1, 2, 1]
+        assert g2 == make_graph(2, [(0, 1)])
+        assert x1.tolist() == [[1.0], [3.0], [5.0]]
+        assert x2.tolist() == [[2.0], [4.0]]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), n_graphs=st.integers(1, 20))
+def test_synthetic_dataset_round_trip(seed, n_graphs):
+    with tempfile.TemporaryDirectory() as tmp:
+        graphs = write_synthetic_enzymes(tmp, seed=seed, n_graphs=n_graphs)
+        texts = {
+            name: (Path(tmp) / f"ENZYMES_{name}.txt").read_text()
+            for name in ("A", "graph_indicator", "node_attributes")
+        }
+    loaded = load_tu_dataset(texts["A"], texts["graph_indicator"], texts["node_attributes"])
+    rows = [[float(tok) for tok in line.split(",")]
+            for line in texts["node_attributes"].splitlines()]
+    assert len(loaded) == n_graphs
+    start = 0
+    for written, (g, x) in zip(graphs, loaded):
+        assert g.n_nodes == written.n_nodes
+        assert g == written
+        assert x.tolist() == rows[start:start + g.n_nodes]
+        start += g.n_nodes
+    assert start == len(rows)
+
+
+TOY_IND = "1\n1\n2\n2\n"
+
+# (loader call, exception type, full message); each call has exactly one bad input,
+# or two bad lines of different kinds, where the first in file order is named
+LOADER_ERRORS = [
+    (lambda: load_edge_list("0 1\nn 3"), GraphFormatError, "line 2: header must come first"),
+    (lambda: load_edge_list("n\n0 1"), GraphFormatError, "line 1: malformed header 'n'"),
+    (lambda: load_edge_list("n x\n0 1"), GraphFormatError, "line 1: malformed header 'n x'"),
+    (lambda: load_edge_list("n 3\n0 1 2  # c"), GraphFormatError,
+     "line 2: expected 'i j', got '0 1 2  # c'"),
+    (lambda: load_edge_list("n 2\n0 x"), GraphFormatError, "line 2: non-integer node id in '0 x'"),
+    (lambda: load_edge_list("n 2\n-1 0"), GraphFormatError,
+     "line 2: negative node id in '-1 0'"),
+    (lambda: load_edge_list("n 2\n\n0 0"), GraphFormatError, "line 3: self-loop 0"),
+    (lambda: load_edge_list("n 2\n0 5"), GraphFormatError, "node id 5 exceeds declared count 2"),
+    (lambda: load_edge_list(""), GraphFormatError, "empty edge list with no header"),
+    (lambda: load_edge_list("# only a comment\n\n"), GraphFormatError,
+     "empty edge list with no header"),
+    (lambda: load_edge_list("n 3\n0 1\n0 x\n1 1\n"), GraphFormatError,
+     "line 3: non-integer node id in '0 x'"),
+    (lambda: load_edge_list("n 3\n1 1\n0 x\n"), GraphFormatError, "line 2: self-loop 1"),
+    (lambda: load_tu_dataset("1, 2\n", "1\nx\n"), GraphFormatError, "indicator line 2: 'x'"),
+    (lambda: load_tu_dataset("", "\n"), GraphFormatError, "empty graph indicator file"),
+    (lambda: load_tu_dataset("", "0\n1\n"), GraphFormatError,
+     "graph indicator ids must be >= 1"),
+    (lambda: load_tu_dataset("", "1\n1\n3\n"), GraphFormatError,
+     "graph indicator skips graph id 2 (ids must be 1..3)"),
+    (lambda: load_tu_dataset("1, 2, 3\n", TOY_IND), GraphFormatError,
+     "adjacency line 1: expected 'i, j', got '1, 2, 3'"),
+    (lambda: load_tu_dataset("1, x\n", TOY_IND), GraphFormatError,
+     "adjacency line 1: non-integer id in '1, x'"),
+    (lambda: load_tu_dataset("1, 2\n1, 5\n", TOY_IND), GraphFormatError,
+     "adjacency line 2: node id out of range"),
+    (lambda: load_tu_dataset("0, 1\n", TOY_IND), GraphFormatError,
+     "adjacency line 1: node id out of range"),
+    (lambda: load_tu_dataset("1, 1\n", TOY_IND), GraphFormatError,
+     "adjacency line 1: self-loop at node 1"),
+    (lambda: load_tu_dataset("1, 2\n4, 1\n", TOY_IND), GraphFormatError,
+     "adjacency line 2: edge crosses graphs 1 and 0"),
+    (lambda: load_tu_dataset("1, 2\n1, 3\n1, x\n", TOY_IND), GraphFormatError,
+     "adjacency line 2: edge crosses graphs 0 and 1"),
+    (lambda: load_tu_dataset("1, 2\n\n1, x\n1, 3\n", TOY_IND), GraphFormatError,
+     "adjacency line 3: non-integer id in '1, x'"),
+    (lambda: load_tu_dataset("1, 2\n", TOY_IND, "1.0\nx\n3.0\n4.0\n"), GraphFormatError,
+     "attribute line 2: 'x'"),
+    (lambda: load_tu_dataset("1, 2\n", TOY_IND, "1.0\n2.0\n"), GraphFormatError,
+     "attribute row count 2 != node count 4"),
+    (lambda: load_tu_dataset("1, 2\n", TOY_IND, "1.0,2.0\n3.0\n4.0\n5.0\n"),
+     GraphFormatError, "inconsistent attribute row widths"),
+    (lambda: load_tu_dataset("1, 2\n", TOY_IND, "1.0,2.0\n3.0\nx\n4.0\n"),
+     GraphFormatError, "attribute line 3: 'x'"),
+    (lambda: load_cora("a 1.0\n", ""), GraphFormatError, "content line 1: too few fields"),
+    (lambda: load_cora("a 1.0 l\nb x l\n", ""), GraphFormatError,
+     "content line 2: non-numeric feature"),
+    (lambda: load_cora("a 1.0 l\n\na 2.0 l\n", ""), GraphFormatError,
+     "content line 3: duplicate node id a"),
+    (lambda: load_cora("a 1.0 l\nb 1.0 2.0 l\n", ""), GraphFormatError,
+     "content line 2: 2 features, expected 1"),
+    (lambda: load_cora("\n", ""), GraphFormatError, "empty content file"),
+    (lambda: load_cora("a 1.0 l\nb 2.0 l\n", "a b c\n"), GraphFormatError,
+     "cites line 1: expected two ids"),
+    (lambda: load_cora("a 1.0 l\nb 2.0 l\n", "a b\nb z\n"), GraphFormatError,
+     "cites line 2: unknown node id"),
+    (lambda: make_graph(0, []), DomainError, "graph must have at least one node"),
+    (lambda: make_graph(2, [(0, 5)]), DomainError, "edge (0, 5) outside [0, 2)"),
+    (lambda: make_graph(3, [(2, -1)]), DomainError, "edge (-1, 2) outside [0, 3)"),
+    (lambda: make_graph(2, [(1, 1)]), DomainError, "self-loop at node 1"),
+    (lambda: make_graph(2, [(5, 5)]), DomainError, "self-loop at node 5"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", LOADER_ERRORS)
+def test_loader_error_messages(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestCora:
