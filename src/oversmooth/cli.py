@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -55,7 +56,7 @@ from .io_formats import (
     find_cora_files,
     find_tu_files,
 )
-from .operators import PROPAGATION_KINDS, OperatorKind, build, commutation
+from .operators import LAPLACIAN_KINDS, PROPAGATION_KINDS, OperatorKind, build, commutation
 from .spectral import eigendecompose, superposition
 
 DATA_DIR_ENV = "OVERSMOOTH_DATA_DIR"
@@ -67,6 +68,9 @@ OPERATOR_ALIASES = {
     "anorm": OperatorKind.NORMALIZED_ADJACENCY,
     "anorm-tilde": OperatorKind.RENORMALIZED_ADJACENCY,
 }
+# axioms measures with a Laplacian, or with its degree conjugation D^{-1/2} L D^{-1/2}
+_LAPLACIAN_LABELS = [label for label, kind in OPERATOR_ALIASES.items() if kind in LAPLACIAN_KINDS]
+AXIOM_OPERATORS = _LAPLACIAN_LABELS + [f"conjugate:{label}" for label in _LAPLACIAN_LABELS]
 
 _DATA_ERRORS = (ValueError, OSError, NumericalError)
 
@@ -159,13 +163,6 @@ def _write(path: Path, text: str):
     path.write_text(text)
 
 
-def _operator_kind(label: str) -> OperatorKind:
-    try:
-        return OPERATOR_ALIASES[label]
-    except KeyError:
-        raise DomainError(f"unknown operator {label!r}") from None
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -197,7 +194,7 @@ def _run_simulation(g, features, args, selector: str, dataset_id: str):
     weight_mode = _parse_weights(args.weights, args.layers, x0.shape[1], args.seed)
     cfg = PropagationConfig(
         layers=args.layers,
-        operator_kind=_operator_kind(args.operator),
+        operator_kind=OPERATOR_ALIASES[args.operator],
         weight_mode=weight_mode,
         track_volume_constant=args.volume_constant,
     )
@@ -247,11 +244,10 @@ def cmd_simulate(args) -> int:
 def cmd_axioms(args) -> int:
     g, _, dataset_id = resolve_graph(args.graph, _resolve_data_dir(args.data_dir))
     label = args.operator
-    if label.startswith("conjugate:"):
-        base = _operator_kind(label.split(":", 1)[1])
-        desc = normalize_conjugation(descriptor_for(g, base, take_sqrt=True), g)
-    else:
-        desc = descriptor_for(g, _operator_kind(label), take_sqrt=True)
+    base = label.removeprefix("conjugate:")
+    desc = descriptor_for(g, OPERATOR_ALIASES[base], take_sqrt=True)
+    if base != label:
+        desc = normalize_conjugation(desc, g)
     a1 = axiom1_check(desc, g, trials=args.trials, tol=args.tol, seed=args.seed)
     a2 = axiom2_check(desc, trials=args.trials, seed=args.seed)
     manifest = _manifest(
@@ -287,7 +283,7 @@ def cmd_ratio(args) -> int:
     values = [r for _, r in ratio.points]
     st = stats(g)
     if st.regular:
-        d = g.degrees[0]
+        d = int(g.degrees[0])
         dev = max(abs(v - d) for v in values)
         print(f"regular graph, degree {d}: max |ratio - {d}| = {dev:.3e} "
               f"over {len(values)} pre-floor layers")
@@ -301,8 +297,7 @@ def cmd_ratio(args) -> int:
 
 def cmd_spectra(args) -> int:
     g, _, dataset_id = resolve_graph(args.graph, _resolve_data_dir(args.data_dir))
-    kind = _operator_kind(args.operator)
-    dec = eigendecompose(build(g, kind))
+    dec = eigendecompose(build(g, OPERATOR_ALIASES[args.operator]))
     manifest = _manifest(dataset_id, args.graph, {"operator": args.operator}, args.seed)
     text = export_spectra_csv(dec, manifest)
     if args.out:
@@ -310,7 +305,7 @@ def cmd_spectra(args) -> int:
     else:
         sys.stdout.write(text)
     if args.superpose:
-        other = eigendecompose(build(g, _operator_kind(args.superpose)))
+        other = eigendecompose(build(g, OPERATOR_ALIASES[args.superpose]))
         sup = superposition(dec, other)
         sup_text = export_superposition_csv(sup, manifest)
         if args.superpose_out:
@@ -322,7 +317,7 @@ def cmd_spectra(args) -> int:
 
 def cmd_export_operator(args) -> int:
     g, _, dataset_id = resolve_graph(args.graph, _resolve_data_dir(args.data_dir))
-    op = build(g, _operator_kind(args.operator))
+    op = build(g, OPERATOR_ALIASES[args.operator])
     manifest = _manifest(dataset_id, args.graph, {"operator": args.operator}, args.seed)
     text = export_matrix_csv(op.matrix, manifest)
     if args.out:
@@ -369,8 +364,23 @@ def _matching(pattern: str, expected: str, convert=str):
     return check
 
 
+def _checked(convert, holds, expected: str):
+    """argparse type: ``convert(text)`` when it converts and ``holds`` of it, else exit 2."""
+    def check(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not holds(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return check
+
+
 _POSITIVE = r"0*[1-9][0-9]*"
 _positive_int = _matching(_POSITIVE, "a positive integer", int)
+_seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_tolerance = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 _weights_spec = _matching(rf"none|first:{_POSITIVE}|per-layer(:{_POSITIVE})?",
                           "none | first:<w> | per-layer[:<w>] with w >= 1")
 # an edge-list path, or enzymes:<idx> with a non-negative integer index
@@ -383,7 +393,7 @@ def _add_common(p: argparse.ArgumentParser, graph: bool = True):
                        help="edge-list path, 'enzymes:<idx>', or 'cora-lcc'")
     p.add_argument("--data-dir", default=None,
                    help=f"dataset directory (default ${DATA_DIR_ENV})")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--features", type=_positive_int, default=8,
                    help="random-input width when the graph carries no attributes")
 
@@ -414,10 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("axioms", help="node-similarity axiom checks for an operator")
     _add_common(p)
-    p.add_argument("--operator", default="delta-norm",
-                   help="delta | delta-norm | delta-tilde-norm | conjugate:<base>")
+    p.add_argument("--operator", default="delta-norm", choices=AXIOM_OPERATORS,
+                   metavar="OPERATOR", help=" | ".join(AXIOM_OPERATORS))
     p.add_argument("--trials", type=_positive_int, default=20)
-    p.add_argument("--tol", type=float, default=DEFAULT_AXIOM_TOL)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_AXIOM_TOL)
     p.add_argument("--out", default=None, help="axiom report JSON path")
     p.set_defaults(func=cmd_axioms)
 

@@ -133,7 +133,7 @@ def constant_signal_energy_closed_form(g: Graph, kind: OperatorKind, c: float) -
     """
     if kind not in LAPLACIAN_KINDS or KINDS[kind].shift is None:
         raise DomainError("closed form applies to the normalized Laplacian kinds")
-    d = g.degree_vector() + KINDS[kind].shift
+    d = g.degrees + KINDS[kind].shift
     if d.min() <= 0:
         raise DomainError("closed form needs positive shifted degrees")
     inv = 1.0 / np.sqrt(d)
@@ -143,7 +143,7 @@ def constant_signal_energy_closed_form(g: Graph, kind: OperatorKind, c: float) -
 
 def normalize_conjugation(desc: MeasureDescriptor, g: Graph) -> MeasureDescriptor:
     """Descriptor with inducing operator D^{-1/2} M D^{-1/2}: entry (i, j) scaled by s_i s_j."""
-    d = g.degree_vector()
+    d = g.degrees
     if desc.n != g.n_nodes:
         raise DomainError("descriptor size does not match the graph")
     if d.min() < 1:

@@ -1,12 +1,12 @@
 """Undirected simple graphs: construction, text ingestion, structural predicates.
 
-Node ids are dense 0-based integers after ingestion. TU-format and Cora files
-use their native 1-based / symbolic ids, converted at parse time.
+A graph is its node count and its edge array. Node ids are dense 0-based
+integers after ingestion. TU-format and Cora files use their native 1-based /
+symbolic ids, converted at parse time.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -15,78 +15,90 @@ import numpy as np
 from .errors import DomainError, GraphFormatError
 
 
-@dataclass(frozen=True)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _canonical(pairs: np.ndarray) -> np.ndarray:
+    """(n, 2) pairs as (min, max) rows in sorted order, repeats dropped."""
+    return np.unique(np.sort(pairs.reshape(-1, 2), axis=1), axis=0)
+
+
+def _component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Smallest node id in the component of each of n nodes joined by the edges (u, v).
+
+    Min-root hooking with pointer jumping: each round hooks the larger root of
+    every edge whose ends have different roots onto the smaller one, then
+    points every node straight at its root.
+    """
+    root = np.arange(n)
+    while True:
+        ru, rv = root[u], root[v]
+        split = ru != rv
+        if not split.any():
+            return root
+        u, v = u[split], v[split]
+        np.minimum.at(root, np.maximum(ru, rv)[split], np.minimum(ru, rv)[split])
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected simple graph (no self-loops, no multi-edges)."""
+    """Undirected simple graph (no self-loops, no multi-edges).
+
+    ``edge_array`` is the (n_edges, 2) intp array of (min, max) pairs in sorted
+    order without repeats; ``degrees`` is counted from it. Both are read-only.
+    """
 
     n_nodes: int
-    edges: frozenset[tuple[int, int]]  # pairs stored as (min, max)
-    degrees: tuple[int, ...] = field(default=())
+    edge_array: np.ndarray
+    degrees: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n_nodes <= 0:
             raise DomainError("graph must have at least one node")
-        for i, j in self.edges:
-            if i == j:
-                raise DomainError(f"self-loop at node {i}")
-            if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
-                raise DomainError(f"edge ({i}, {j}) outside [0, {self.n_nodes})")
-            if i > j:
-                raise DomainError(f"edge ({i}, {j}) not stored as (min, max)")
-        if not self.degrees:
-            object.__setattr__(self, "degrees", tuple(self._recompute_degrees()))
-        elif tuple(self.degrees) != tuple(self._recompute_degrees()):
-            raise DomainError("degrees inconsistent with edges")
+        e = np.array(self.edge_array, dtype=np.intp).reshape(-1, 2)
+        lo, hi = e[:, 0], e[:, 1]
+        for bad, message in (
+            (lo == hi, "self-loop at node {0}"),
+            ((e < 0).any(axis=1) | (e >= self.n_nodes).any(axis=1),
+             f"edge ({{0}}, {{1}}) outside [0, {self.n_nodes})"),
+            (lo > hi, "edge ({0}, {1}) not stored as (min, max)"),
+        ):
+            if bad.any():
+                raise DomainError(message.format(*e[np.argmax(bad)]))
+        step = np.diff(lo)
+        if np.any((step < 0) | ((step == 0) & (np.diff(hi) <= 0))):
+            raise DomainError("edges not sorted and unique")
+        object.__setattr__(self, "edge_array", _read_only(e))
+        degrees = np.bincount(e.ravel(), minlength=self.n_nodes)
+        object.__setattr__(self, "degrees", _read_only(degrees))
 
-    def _recompute_degrees(self) -> list[int]:
-        deg = [0] * self.n_nodes
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n_nodes == other.n_nodes and np.array_equal(self.edge_array, other.edge_array)
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
-
-    def neighbors(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
-
-    def degree_vector(self) -> np.ndarray:
-        return np.asarray(self.degrees, dtype=float)
+        return len(self.edge_array)
 
     @cached_property
-    def edge_array(self) -> np.ndarray:
-        """Read-only (n_edges, 2) array of the (min, max) pairs in sorted order, made once."""
-        arr = np.array(sorted(self.edges), dtype=np.intp).reshape(-1, 2)
-        arr.flags.writeable = False
-        return arr
+    def _traversal(self) -> tuple[np.ndarray, bool]:
+        """(component labels, bipartite), from one traversal made once per graph.
 
-    @cached_property
-    def _components(self) -> tuple[tuple[int, ...], ...]:
-        # breadth-first search, run once per graph; read through connected_components
-        adj = self.neighbors()
-        seen = [False] * self.n_nodes
-        comps = []
-        for start in range(self.n_nodes):
-            if seen[start]:
-                continue
-            comp = []
-            queue = deque([start])
-            seen[start] = True
-            while queue:
-                u = queue.popleft()
-                comp.append(u)
-                for v in adj[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        queue.append(v)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
+        The traversal runs on the bipartite double cover: nodes v and v + n,
+        and for each edge (i, j) the edges (i, j + n) and (i + n, j). A
+        component is bipartite iff its v and v + n land in different cover
+        components. Each node's label is the smallest node id of its component.
+        """
+        n = self.n_nodes
+        i, j = self.edge_array.T
+        cover = _component_labels(2 * n, np.concatenate([i, i + n]), np.concatenate([j + n, j]))
+        labels = np.minimum(cover[:n], cover[n:])
+        return _read_only(labels), bool(np.all(cover[:n] != cover[n:]))
 
 
 @dataclass(frozen=True)
@@ -99,9 +111,10 @@ class GraphStats:
 
 
 def make_graph(n_nodes: int, edge_pairs) -> Graph:
-    """Build a Graph from any iterable of (i, j) pairs, deduplicating."""
-    edges = frozenset((min(i, j), max(i, j)) for i, j in edge_pairs)
-    return Graph(n_nodes=n_nodes, edges=edges)
+    """Build a Graph from an array or any iterable of (i, j) pairs, deduplicating."""
+    if not isinstance(edge_pairs, np.ndarray):
+        edge_pairs = np.fromiter(edge_pairs, dtype=(np.intp, 2))
+    return Graph(n_nodes, _canonical(np.asarray(edge_pairs, dtype=np.intp)))
 
 
 def load_edge_list(text: str) -> Graph:
@@ -112,7 +125,6 @@ def load_edge_list(text: str) -> Graph:
     """
     n_nodes = None
     pairs = []
-    max_id = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -127,6 +139,8 @@ def load_edge_list(text: str) -> Graph:
                 n_nodes = int(parts[1])
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: malformed header {raw!r}") from None
+            if n_nodes < 1:
+                raise GraphFormatError(f"line {lineno}: node count must be >= 1")
             continue
         if len(parts) != 2:
             raise GraphFormatError(f"line {lineno}: expected 'i j', got {raw!r}")
@@ -139,20 +153,21 @@ def load_edge_list(text: str) -> Graph:
         if i == j:
             raise GraphFormatError(f"line {lineno}: self-loop {i}")
         pairs.append((i, j))
-        max_id = max(max_id, i, j)
+    e = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    max_id = int(e.max(initial=-1))
     if n_nodes is None:
+        if max_id < 0:
+            raise GraphFormatError("empty edge list with no header")
         n_nodes = max_id + 1
-    if n_nodes <= 0:
-        raise GraphFormatError("empty edge list with no header")
     if max_id >= n_nodes:
         raise GraphFormatError(f"node id {max_id} exceeds declared count {n_nodes}")
-    return make_graph(n_nodes, pairs)
+    return make_graph(n_nodes, e)
 
 
 def serialize_edge_list(g: Graph) -> str:
     """Canonical edge-list text; inverse of load_edge_list."""
     lines = [f"n {g.n_nodes}"]
-    lines.extend(f"{i} {j}" for i, j in sorted(g.edges))
+    lines.extend(f"{i} {j}" for i, j in g.edge_array.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -181,20 +196,21 @@ def load_tu_dataset(
     n_graphs = max(indicator)
     if min(indicator) < 1:
         raise GraphFormatError("graph indicator ids must be >= 1")
-
-    # global node id (1-based) -> (graph index 0-based, local node id 0-based)
-    local_of: list[tuple[int, int]] = []
-    counts = [0] * n_graphs
-    for gid in indicator:
-        gidx = gid - 1
-        local_of.append((gidx, counts[gidx]))
-        counts[gidx] += 1
-    if 0 in counts:
+    graph_of = np.array(indicator, dtype=np.intp) - 1  # 0-based graph index of each node
+    counts = np.bincount(graph_of, minlength=n_graphs)
+    skipped = np.flatnonzero(counts == 0)
+    if skipped.size:
         raise GraphFormatError(
-            f"graph indicator skips graph id {counts.index(0) + 1} (ids must be 1..{n_graphs})"
+            f"graph indicator skips graph id {skipped[0] + 1} (ids must be 1..{n_graphs})"
         )
+    # nodes grouped by graph, file order kept inside each graph; pos is a node's
+    # place in that order, so graph k's nodes hold pos starts[k] .. starts[k + 1] - 1
+    by_graph = np.argsort(graph_of, kind="stable")
+    pos = np.empty(total_nodes, dtype=np.intp)
+    pos[by_graph] = np.arange(total_nodes)
+    starts = np.cumsum(counts) - counts
 
-    edge_lists: list[list[tuple[int, int]]] = [[] for _ in range(n_graphs)]
+    pairs = []
     for lineno, raw in enumerate(adjacency_text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -210,11 +226,15 @@ def load_tu_dataset(
             raise GraphFormatError(f"adjacency line {lineno}: node id out of range")
         if u == v:
             raise GraphFormatError(f"adjacency line {lineno}: self-loop at node {u}")
-        gu, lu = local_of[u - 1]
-        gv, lv = local_of[v - 1]
+        gu, gv = indicator[u - 1] - 1, indicator[v - 1] - 1
         if gu != gv:
             raise GraphFormatError(f"adjacency line {lineno}: edge crosses graphs {gu} and {gv}")
-        edge_lists[gu].append((lu, lv))
+        pairs.append((u - 1, v - 1))
+
+    # in pos ids the canonical order is by (graph, local min, local max)
+    e = _canonical(pos[np.array(pairs, dtype=np.intp).reshape(-1, 2)])
+    parts = np.split(e, np.searchsorted(e[:, 0], starts[1:]))
+    graphs = [Graph(int(n), part - start) for n, start, part in zip(counts, starts, parts)]
 
     attrs: list[np.ndarray | None] = [None] * n_graphs
     if node_attr_text is not None:
@@ -231,20 +251,11 @@ def load_tu_dataset(
             raise GraphFormatError(
                 f"attribute row count {len(rows)} != node count {total_nodes}"
             )
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
+        if len(set(map(len, rows))) != 1:
             raise GraphFormatError("inconsistent attribute row widths")
-        all_attrs = np.asarray(rows, dtype=float)
-        per_graph: list[list[np.ndarray]] = [[] for _ in range(n_graphs)]
-        for node_idx, (gidx, _) in enumerate(local_of):
-            per_graph[gidx].append(all_attrs[node_idx])
-        attrs = [np.vstack(a) if a else None for a in per_graph]
-
-    out = []
-    for gidx in range(n_graphs):
-        g = make_graph(counts[gidx], edge_lists[gidx])
-        out.append((g, attrs[gidx]))
-    return out
+        grouped = np.asarray(rows, dtype=float)[by_graph]
+        attrs = np.split(grouped, starts[1:])
+    return list(zip(graphs, attrs))
 
 
 def load_cora(content_text: str, cites_text: str) -> tuple[Graph, np.ndarray]:
@@ -300,11 +311,13 @@ def load_cora(content_text: str, cites_text: str) -> tuple[Graph, np.ndarray]:
 
 
 def connected_components(g: Graph) -> list[list[int]]:
-    """Components as sorted node lists, via breadth-first search.
+    """Components as sorted node lists, ordered by their smallest node id.
 
-    The search runs once per graph; every call returns a fresh copy.
+    The traversal runs once per graph; every call returns fresh lists.
     """
-    return [list(comp) for comp in g._components]
+    labels = g._traversal[0]
+    order = np.argsort(labels, kind="stable")
+    return [part.tolist() for part in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)]
 
 
 def largest_connected_component(
@@ -315,47 +328,26 @@ def largest_connected_component(
     Ties on size are broken by the smallest minimum original node id. Rows of
     ``x`` are filtered consistently.
     """
-    comps = connected_components(g)
-    best = max(comps, key=lambda c: (len(c), -c[0]))
-    relabel = {orig: new for new, orig in enumerate(best)}
-    keep = set(best)
-    edges = [(relabel[i], relabel[j]) for i, j in g.edges if i in keep]
-    sub = make_graph(len(best), edges)
+    labels = g._traversal[0]
+    sizes = np.bincount(labels)
+    keep = labels == np.argmax(sizes)  # the first maximum: the smallest minimum id
+    new_id = np.cumsum(keep) - 1
+    sub = Graph(int(sizes.max()), new_id[g.edge_array[keep[g.edge_array[:, 0]]]])
     if x is None:
         return sub, None
     x = np.asarray(x, dtype=float)
     if x.shape[0] != g.n_nodes:
         raise DomainError(f"signal has {x.shape[0]} rows for a {g.n_nodes}-node graph")
-    return sub, x[best]
+    return sub, x[keep]
 
 
 def stats(g: Graph) -> GraphStats:
     """Structural summary: connectivity, regularity, bipartiteness, degree stats."""
-    deg = g.degree_vector()
-    comps = connected_components(g)
-    adj = g.neighbors()
-
-    color = [-1] * g.n_nodes
-    bipartite = True
-    for comp in comps:
-        color[comp[0]] = 0
-        queue = deque([comp[0]])
-        while queue and bipartite:
-            u = queue.popleft()
-            for v in adj[u]:
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    bipartite = False
-                    break
-        if not bipartite:
-            break
-
+    deg = g.degrees
     return GraphStats(
-        connected=len(comps) == 1,
+        connected=len(connected_components(g)) == 1,
         regular=bool(deg.max() == deg.min()),
-        bipartite=bipartite,
+        bipartite=g._traversal[1],
         avg_degree=float(2 * g.n_edges / g.n_nodes),
         degree_variance=float(np.var(deg)),
     )

@@ -43,7 +43,7 @@ class KindSpec:
         """(D + sI)^{1/2} 1, or 1 when unnormalized: the paired Laplacian's kernel, unscaled."""
         if self.shift is None:
             return np.ones(g.n_nodes)
-        return np.sqrt(g.degree_vector() + self.shift)
+        return np.sqrt(g.degrees + self.shift)
 
 
 # the one table of operator kinds; every kind-dependent choice reads it
@@ -156,7 +156,7 @@ def build(g: Graph, kind: OperatorKind) -> GraphOperator:
     spec = KINDS.get(kind)
     if spec is None:
         raise DomainError("build() handles only the standard operator kinds")
-    d = g.degree_vector()
+    d = g.degrees
     if spec.shift is not None and d.min() + spec.shift <= 0:
         raise DomainError("normalized operators need minimum degree >= 1")
 

@@ -165,8 +165,8 @@ def energy_direct(g: Graph, x0, f: FilterSpec) -> float:
 
 def energy_regular_reduction(g: Graph, x0, f: FilterSpec) -> float:
     """Single-sum form sum_w w |f(w/d)|^2 ||q_w^T X||^2 valid on d-regular graphs."""
-    d = g.degrees[0]
-    if any(deg != d for deg in g.degrees):
+    d = int(g.degrees[0])
+    if np.any(g.degrees != d):
         raise DomainError("regular-graph reduction requires a regular graph")
     dec = eigendecompose(build(g, OperatorKind.UNNORMALIZED_LAPLACIAN))
     fvals = f.evaluate(dec.eigenvalues / d)

@@ -19,8 +19,7 @@ def random_connected_graph(rng, n, p=0.35, regular=None, bipartite=None) -> Grap
     """
     for _ in range(1000):
         mask = rng.random((n, n)) < p
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]]
-        g = make_graph(n, edges)
+        g = Graph(n, np.argwhere(np.triu(mask, 1)))  # the pairs i < j, in row-major order
         st = stats(g)
         if not st.connected:
             continue
@@ -52,16 +51,13 @@ def write_synthetic_enzymes(data_dir, seed=DEFAULT_DATASET_SEED, n_graphs=19, at
             n = int(rng.integers(3, 12))
             graphs.append(random_connected_graph(rng, n, 0.5))
 
-    adjacency, indicator, attributes = [], [], []
-    offset = 0
-    for gidx, g in enumerate(graphs, start=1):
-        for i, j in sorted(g.edges):
-            adjacency.append(f"{offset + i + 1}, {offset + j + 1}")
-            adjacency.append(f"{offset + j + 1}, {offset + i + 1}")
-        indicator.extend([str(gidx)] * g.n_nodes)
-        for _ in range(g.n_nodes):
-            attributes.append(",".join(f"{v:.6f}" for v in rng.standard_normal(attr_width)))
-        offset += g.n_nodes
+    sizes = [g.n_nodes for g in graphs]
+    offsets = np.cumsum(sizes) - sizes + 1  # 1-based id of each graph's first node
+    pairs = np.concatenate([g.edge_array + off for g, off in zip(graphs, offsets)])
+    adjacency = [f"{i}, {j}\n{j}, {i}" for i, j in pairs.tolist()]
+    indicator = np.repeat(np.arange(1, n_graphs + 1), sizes).astype(str).tolist()
+    row = ",".join(["%.6f"] * attr_width)
+    attributes = [row % tuple(r) for r in rng.standard_normal((sum(sizes), attr_width)).tolist()]
 
     data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)

@@ -41,7 +41,7 @@ def edge_sum_energy(g, x, kind, include_volume_constant=False):
         OperatorKind.RENORMALIZED_LAPLACIAN: 1.0,
     }[kind]
     total = 0.0
-    for i, j in g.edges:
+    for i, j in g.edge_array.tolist():
         if shift is None:
             diff = x[i] - x[j]
         else:
@@ -61,7 +61,7 @@ def synthetic_enzymes_dir(tmp_path):
 
 def dense_adjacency(g):
     a = np.zeros((g.n_nodes, g.n_nodes))
-    for i, j in g.edges:
+    for i, j in g.edge_array.tolist():
         a[i, j] = a[j, i] = 1.0
     return a
 
@@ -69,7 +69,7 @@ def dense_adjacency(g):
 def dense_operator(g, kind):
     """Independent oracle: the standard operators as dense n x n formulas."""
     a = dense_adjacency(g)
-    d = g.degree_vector()
+    d = g.degrees
     eye = np.eye(g.n_nodes)
     if kind is OperatorKind.UNNORMALIZED_LAPLACIAN:
         return np.diag(d) - a

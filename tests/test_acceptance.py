@@ -140,7 +140,7 @@ def test_criterion_4_over_smoothing_without_shrinking():
         x0 = rng.standard_normal((n, 4))
         _, trace = propagate(g, x0, PropagationConfig(layers=200))
         last = trace.records[-1]
-        kernel = np.sqrt(g.degree_vector())
+        kernel = np.sqrt(g.degrees)
         kernel /= np.linalg.norm(kernel)
         kernel_norm = float(np.linalg.norm(kernel[None, :] @ x0))
         verdict = classify_regime(trace)
@@ -214,7 +214,7 @@ def test_criterion_6_commutator_dichotomy():
     smallest_nonregular = math.inf
     for _ in range(50):
         g = random_connected_graph(rng, int(rng.integers(4, 25)), 0.35, regular=False)
-        assert any(g.degrees[i] != g.degrees[j] for i, j in g.edges)
+        assert any(g.degrees[i] != g.degrees[j] for i, j in g.edge_array.tolist())
         c = commutator(
             build(g, OperatorKind.NORMALIZED_LAPLACIAN),
             build(g, OperatorKind.UNNORMALIZED_LAPLACIAN),

@@ -9,6 +9,7 @@ import pytest
 
 import oversmooth
 from oversmooth import GraphOperator, serialize_edge_list
+from oversmooth import cli
 from oversmooth.cli import main
 
 from conftest import PENDANT_TRIANGLE_TEXT, ring_with_chords
@@ -298,11 +299,41 @@ class TestUsageErrors:
         ("simulate", "--features", "0"),
         ("ratio", "--features", "0"),
         ("axioms", "--trials", "0"),
+        # axioms measures with Laplacians only; a propagation label is a usage error
+        ("axioms", "--operator", "anorm"),
+        ("axioms", "--operator", "anorm-tilde"),
+        ("axioms", "--operator", "conjugate:anorm"),
+        ("axioms", "--operator", "conjugate:anorm-tilde"),
+        ("axioms", "--operator", "conjugate:bogus"),
+        # a tolerance must be a finite number > 0, a seed an integer >= 0
+        ("axioms", "--tol", "-1"),
+        ("axioms", "--tol", "0"),
+        ("axioms", "--tol", "inf"),
+        ("axioms", "--tol", "nan"),
+        ("axioms", "--tol", "abc"),
+        ("axioms", "--seed", "-1"),
+        ("simulate", "--seed", "-1"),
+        ("ratio", "--seed", "1.5"),
     ])
     def test_invalid_value_is_exit_2(self, command, flag, value, k4_edgelist, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main([command, "--graph", k4_edgelist, flag, value, "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
+
+    def test_axiom_operator_labels(self, pendant_triangle_edgelist, tmp_path, capsys):
+        laplacians = ["delta", "delta-norm", "delta-tilde-norm"]
+        assert cli.AXIOM_OPERATORS == laplacians + [f"conjugate:{x}" for x in laplacians]
+        for label in cli.AXIOM_OPERATORS:
+            report = tmp_path / f"{label}.json"
+            assert main(["axioms", "--graph", pendant_triangle_edgelist, "--operator", label,
+                         "--tol", "1e-300", "--seed", "0", "--out", str(report)]) == 0
+            assert json.loads(report.read_text())["operator_kind"] == label
+
+    def test_zero_node_header_is_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "empty.txt"
+        path.write_text("n 0\n")
+        assert main(["analyze", "--graph", str(path)]) == 1
+        assert capsys.readouterr().err == "error: line 1: node count must be >= 1\n"
 
     def test_missing_file_is_exit_1(self, capsys):
         assert main(["analyze", "--graph", "/nonexistent/edges.txt"]) == 1

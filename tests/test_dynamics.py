@@ -58,7 +58,7 @@ class TestPropagate:
         assert any("bipartite" in note for note in trace.notes)
 
     def test_kernel_input_is_fixed_point(self, pendant_triangle):
-        x0 = np.sqrt(pendant_triangle.degree_vector())
+        x0 = np.sqrt(pendant_triangle.degrees)
         x, trace = propagate(pendant_triangle, x0, PropagationConfig(layers=5))
         np.testing.assert_allclose(x[:, 0], x0, atol=1e-12)
         for rec in trace.records:
@@ -94,7 +94,7 @@ class TestPropagate:
         _, trace = propagate(p3, x0, cfg)
         last = trace.records[-1]
         assert last.kernel_alignment == pytest.approx(1.0, abs=1e-9)
-        kernel = np.sqrt(p3.degree_vector() + 1.0)
+        kernel = np.sqrt(p3.degrees + 1.0)
         kernel /= np.linalg.norm(kernel)
         want = float(np.linalg.norm(kernel[None, :] @ x0))
         assert last.fro_norm == pytest.approx(want, abs=1e-6)
@@ -245,7 +245,7 @@ class TestClassifyRegime:
         assert "degenerate" in verdict.notes
 
     def test_kernel_input_smooth_from_layer_zero(self, pendant_triangle):
-        x0 = np.sqrt(pendant_triangle.degree_vector())
+        x0 = np.sqrt(pendant_triangle.degrees)
         _, trace = propagate(pendant_triangle, x0, PropagationConfig(layers=5))
         verdict = classify_regime(trace)
         assert verdict.over_smoothing and not verdict.over_shrinking

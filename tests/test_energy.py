@@ -112,7 +112,7 @@ class TestMeasure:
     def test_zero_iff_kernel_membership(self, pendant_triangle):
         # mu(X) = 0 exactly when every column lies in ker(M).
         desc = descriptor_for(pendant_triangle, OperatorKind.NORMALIZED_LAPLACIAN)
-        kernel = np.sqrt(pendant_triangle.degree_vector())
+        kernel = np.sqrt(pendant_triangle.degrees)
         assert measure(desc, np.column_stack([kernel, 2 * kernel])) <= 1e-12
         x = np.column_stack([kernel, kernel + np.array([1.0, 0, 0, 0])])
         assert measure(desc, x) > 1e-3
@@ -178,7 +178,7 @@ class TestAxiom1:
         # M = I - 11^T/n - vv^T is PSD with kernel span{1, D^{1/2} 1} (v: centred
         # unit D^{1/2} 1): constants pass, the non-constant D^{1/2} 1 has zero measure
         n = pendant_triangle.n_nodes
-        w = np.sqrt(pendant_triangle.degree_vector())
+        w = np.sqrt(pendant_triangle.degrees)
         v = (w - w.mean()) / np.linalg.norm(w - w.mean())
         m = np.eye(n) - np.ones((n, n)) / n - np.outer(v, v)
         full = GraphOperator(kind=OperatorKind.CUSTOM, indptr=np.arange(0, n * n + 1, n),

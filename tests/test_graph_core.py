@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oversmooth import (
     DomainError,
+    Graph,
     GraphFormatError,
     largest_connected_component,
     load_cora,
@@ -18,6 +19,7 @@ from oversmooth import (
     serialize_edge_list,
     stats,
 )
+from oversmooth import graph_core
 from oversmooth.graph_core import connected_components
 from oversmooth.synthetic import write_synthetic_enzymes
 
@@ -28,21 +30,21 @@ class TestLoadEdgeList:
     def test_single_edge(self):
         g = load_edge_list("n 2\n0 1")
         assert g.n_nodes == 2
-        assert g.edges == frozenset({(0, 1)})
-        assert g.degrees == (1, 1)
+        assert g.edge_array.tolist() == [[0, 1]]
+        assert g.degrees.tolist() == [1, 1]
 
     def test_path_p3(self):
         g = load_edge_list("n 3\n0 1\n1 2")
-        assert g.degrees == (1, 2, 1)
+        assert g.degrees.tolist() == [1, 2, 1]
 
     def test_triangle_plus_pendant(self):
         g = load_edge_list(PENDANT_TRIANGLE_TEXT)
         assert g.n_nodes == 4
-        assert g.degrees == (3, 2, 2, 1)
+        assert g.degrees.tolist() == [3, 2, 2, 1]
 
     def test_comments_and_blank_lines(self):
         g = load_edge_list("# a comment\nn 3\n\n0 1  # trailing\n1 2\n")
-        assert g.degrees == (1, 2, 1)
+        assert g.degrees.tolist() == [1, 2, 1]
 
     def test_node_count_inferred_without_header(self):
         assert load_edge_list("0 1\n1 2").n_nodes == 3
@@ -80,7 +82,7 @@ class TestGraphValidation:
 
     def test_deduplicates_and_canonicalizes(self):
         g = make_graph(3, [(1, 0), (0, 1), (1, 2)])
-        assert g.edges == frozenset({(0, 1), (1, 2)})
+        assert g.edge_array.tolist() == [[0, 1], [1, 2]]
 
     def test_degree_sum_is_twice_edge_count(self, pendant_triangle):
         assert sum(pendant_triangle.degrees) == 2 * pendant_triangle.n_edges
@@ -116,7 +118,7 @@ def test_regularity_matches_degree_extremes(g):
 def _nx_graph(g):
     h = nx.Graph()
     h.add_nodes_from(range(g.n_nodes))
-    h.add_edges_from(g.edges)
+    h.add_edges_from(g.edge_array.tolist())
     return h
 
 
@@ -156,7 +158,7 @@ def test_largest_component_tie_break_matches_networkx():
         sub, x = largest_connected_component(g, np.arange(float(n)))
         want = _networkx_lcc(g)
         assert sub.n_nodes == want.number_of_nodes()
-        assert sub.edges == frozenset((min(e), max(e)) for e in want.edges)
+        assert sub.edge_array.tolist() == sorted(sorted(e) for e in want.edges)
         assert x.tolist() == [float(v) for v in min(largest)]
     assert ties >= 20  # the tie-break branch is exercised
 
@@ -170,7 +172,7 @@ class TestTUDataset:
         assert len(out) == 2
         for g, attrs in out:
             assert g.n_nodes == 2
-            assert g.edges == frozenset({(0, 1)})
+            assert g.edge_array.tolist() == [[0, 1]]
             assert attrs is None
 
     def test_attribute_splitting(self):
@@ -216,6 +218,24 @@ class TestTUDataset:
         assert x1.tolist() == [[1.0], [3.0], [5.0]]
         assert x2.tolist() == [[2.0], [4.0]]
 
+    def test_shuffled_indicator_matches_per_node_reference(self):
+        rng = np.random.default_rng(3)
+        indicator = rng.permutation(np.repeat(np.arange(1, 6), 40))  # 5 graphs, 200 nodes
+        members = {k: [int(v) for v in np.flatnonzero(indicator == k)] for k in range(1, 6)}
+        local = {node: i for nodes in members.values() for i, node in enumerate(nodes)}
+        edges = {k: [] for k in members}
+        lines = []
+        for _ in range(300):
+            k = int(rng.integers(1, 6))
+            u, v = (int(x) for x in rng.choice(members[k], size=2, replace=False))
+            edges[k].append((local[u], local[v]))
+            lines.append(f"{u + 1}, {v + 1}")
+        out = load_tu_dataset("\n".join(lines), "\n".join(map(str, indicator)),
+                              "\n".join(str(float(i)) for i in range(200)))
+        for k, (g, x) in enumerate(out, start=1):
+            assert g == make_graph(40, edges[k])
+            assert x[:, 0].tolist() == [float(node) for node in members[k]]
+
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1), n_graphs=st.integers(1, 20))
@@ -254,6 +274,9 @@ LOADER_ERRORS = [
      "line 2: negative node id in '-1 0'"),
     (lambda: load_edge_list("n 2\n\n0 0"), GraphFormatError, "line 3: self-loop 0"),
     (lambda: load_edge_list("n 2\n0 5"), GraphFormatError, "node id 5 exceeds declared count 2"),
+    (lambda: load_edge_list("n 0\n"), GraphFormatError, "line 1: node count must be >= 1"),
+    (lambda: load_edge_list("# c\nn -3\n0 1"), GraphFormatError,
+     "line 2: node count must be >= 1"),
     (lambda: load_edge_list(""), GraphFormatError, "empty edge list with no header"),
     (lambda: load_edge_list("# only a comment\n\n"), GraphFormatError,
      "empty edge list with no header"),
@@ -324,7 +347,7 @@ class TestCora:
     def test_basic_parse(self):
         g, x = load_cora(self.CONTENT, self.CITES)
         assert g.n_nodes == 3
-        assert g.edges == frozenset({(0, 1), (1, 2)})  # self-citation dropped
+        assert g.edge_array.tolist() == [[0, 1], [1, 2]]  # self-citation dropped
         np.testing.assert_allclose(x, [[1, 0], [0, 1], [1, 1]])
 
     def test_unknown_id_rejected(self):
@@ -345,7 +368,7 @@ class TestLargestConnectedComponent:
         g = make_graph(5, [(0, 1), (2, 3)])  # node 4 isolated
         sub, _ = largest_connected_component(g)
         assert sub.n_nodes == 2
-        assert sub.edges == frozenset({(0, 1)})
+        assert sub.edge_array.tolist() == [[0, 1]]
 
     def test_connected_graph_is_identity(self, pendant_triangle):
         sub, _ = largest_connected_component(pendant_triangle)
@@ -399,15 +422,16 @@ class TestStats:
     def test_components_searched_once_and_returned_as_copies(self, monkeypatch):
         g = make_graph(5, [(0, 4), (1, 2)])
         calls = []
-        original = type(g).neighbors
-        monkeypatch.setattr(type(g), "neighbors", lambda self: calls.append(1) or original(self))
+        original = graph_core._component_labels
+        monkeypatch.setattr(graph_core, "_component_labels",
+                            lambda *args: calls.append(1) or original(*args))
         first = connected_components(g)
         first[0].append(99)
         first.append([7])
         assert connected_components(g) == [[0, 4], [1, 2], [3]]
         stats(g)
         largest_connected_component(g)
-        assert len(calls) == 2  # one search for the components, one for bipartiteness
+        assert len(calls) == 1  # one traversal gives the components and bipartiteness
 
     def test_edge_array_is_sorted_and_read_only(self, pendant_triangle):
         e = pendant_triangle.edge_array
@@ -416,3 +440,61 @@ class TestStats:
         with pytest.raises(ValueError):
             e[0, 0] = 3
         assert make_graph(3, []).edge_array.shape == (0, 2)
+        with pytest.raises(ValueError):
+            pendant_triangle.degrees[0] = 0
+
+    def test_graph_copies_its_edge_array(self):
+        e = np.array([[0, 1], [1, 2]])
+        g = Graph(3, e)
+        e[0, 0] = 2
+        assert g.edge_array.tolist() == [[0, 1], [1, 2]]
+        assert g.degrees.tolist() == [1, 2, 1]
+
+    def test_equality_compares_node_count_and_edges(self, p3):
+        assert p3 == make_graph(3, [(2, 1), (1, 0)])
+        assert p3 != make_graph(4, [(0, 1), (1, 2)])
+        assert p3 != make_graph(3, [(0, 1), (0, 2)])
+        assert p3 != "p3"
+
+
+def _permuted_graph(rng, n, pairs):
+    perm = rng.permutation(n)
+    return make_graph(n, [(perm[i], perm[j]) for i, j in pairs])
+
+
+def test_traversal_matches_networkx_on_larger_graphs():
+    rng = np.random.default_rng(11)
+    graphs = []
+    for n in (2, 3, 50, 301, 1000):
+        graphs.append(_permuted_graph(rng, n, [(i, i + 1) for i in range(n - 1)]))  # path
+        graphs.append(_permuted_graph(rng, n, [(i, (i + 1) % n) for i in range(n)]))  # cycle
+        tree = [(int(rng.integers(k)), k) for k in range(1, n)]
+        graphs.append(_permuted_graph(rng, n, tree))
+        extra = rng.integers(0, n, size=(n // 2, 2))
+        graphs.append(_permuted_graph(rng, n, tree[: n // 2] + [tuple(p) for p in extra
+                                                                  if p[0] != p[1]]))
+    for g in graphs:
+        h = _nx_graph(g)
+        want = sorted(sorted(c) for c in nx.connected_components(h))
+        assert connected_components(g) == want
+        assert stats(g).bipartite == nx.is_bipartite(h)
+        assert stats(g).connected == nx.is_connected(h)
+
+
+GRAPH_ERRORS = [
+    (lambda: Graph(0, np.zeros((0, 2))), "graph must have at least one node"),
+    (lambda: Graph(3, [[1, 1]]), "self-loop at node 1"),
+    (lambda: Graph(3, [[0, 1], [1, 3]]), "edge (1, 3) outside [0, 3)"),
+    (lambda: Graph(3, [[-1, 2]]), "edge (-1, 2) outside [0, 3)"),
+    (lambda: Graph(3, [[0, 1], [2, 1]]), "edge (2, 1) not stored as (min, max)"),
+    (lambda: Graph(3, [[1, 2], [0, 1]]), "edges not sorted and unique"),
+    (lambda: Graph(3, [[0, 2], [0, 1]]), "edges not sorted and unique"),
+    (lambda: Graph(3, [[0, 1], [0, 1]]), "edges not sorted and unique"),
+]
+
+
+@pytest.mark.parametrize("call,message", GRAPH_ERRORS)
+def test_graph_validation_messages(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message

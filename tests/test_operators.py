@@ -61,7 +61,7 @@ class TestBuild:
     def test_self_loop_variant_is_conjugated_unnormalized(self, pendant_triangle):
         delta = build(pendant_triangle, OperatorKind.UNNORMALIZED_LAPLACIAN).matrix
         dt = build(pendant_triangle, OperatorKind.RENORMALIZED_LAPLACIAN).matrix
-        s = 1.0 / np.sqrt(pendant_triangle.degree_vector() + 1.0)
+        s = 1.0 / np.sqrt(pendant_triangle.degrees + 1.0)
         np.testing.assert_allclose(dt, s[:, None] * delta * s[None, :], atol=1e-12)
 
     def test_disconnected_rejected(self):
@@ -163,7 +163,7 @@ class TestCommutators:
 
     def test_adjacency_degree_noncommutation_entries(self, pendant_triangle):
         a = dense_adjacency(pendant_triangle)
-        d = np.diag(pendant_triangle.degree_vector())
+        d = np.diag(pendant_triangle.degrees)
         ad = a @ d
         da = d @ a
         assert ad[0][1] == 2.0
@@ -186,7 +186,7 @@ class TestCommutators:
     def test_unequal_degree_edge_breaks_commutation(self, seed):
         rng = np.random.default_rng(100 + seed)
         g = random_connected_graph(rng, int(rng.integers(4, 20)), regular=False)
-        assert any(g.degrees[i] != g.degrees[j] for i, j in g.edges)
+        assert any(g.degrees[i] != g.degrees[j] for i, j in g.edge_array.tolist())
         p = build(g, OperatorKind.NORMALIZED_LAPLACIAN)
         q = build(g, OperatorKind.UNNORMALIZED_LAPLACIAN)
         assert not commutation(p, q)[0]
