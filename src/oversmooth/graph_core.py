@@ -22,7 +22,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def _canonical(pairs: np.ndarray) -> np.ndarray:
     """(n, 2) pairs as (min, max) rows in sorted order, repeats dropped."""
-    return np.unique(np.sort(pairs.reshape(-1, 2), axis=1), axis=0)
+    e = np.sort(pairs.reshape(-1, 2), axis=1)
+    e = e[np.lexsort((e[:, 1], e[:, 0]))]
+    first = np.ones(len(e), dtype=bool)
+    first[1:] = np.any(e[1:] != e[:-1], axis=1)
+    return e[first]
 
 
 def _component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -111,10 +115,8 @@ class GraphStats:
 
 
 def make_graph(n_nodes: int, edge_pairs) -> Graph:
-    """Build a Graph from an array or any iterable of (i, j) pairs, deduplicating."""
-    if not isinstance(edge_pairs, np.ndarray):
-        edge_pairs = np.fromiter(edge_pairs, dtype=(np.intp, 2))
-    return Graph(n_nodes, _canonical(np.asarray(edge_pairs, dtype=np.intp)))
+    """Build a Graph from any iterable of (i, j) pairs, deduplicating."""
+    return Graph(n_nodes, _canonical(np.fromiter(edge_pairs, dtype=(np.intp, 2))))
 
 
 def load_edge_list(text: str) -> Graph:
@@ -153,15 +155,14 @@ def load_edge_list(text: str) -> Graph:
         if i == j:
             raise GraphFormatError(f"line {lineno}: self-loop {i}")
         pairs.append((i, j))
-    e = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-    max_id = int(e.max(initial=-1))
+    max_id = max(map(max, pairs), default=-1)  # a Python int: checked before numpy sees it
     if n_nodes is None:
-        if max_id < 0:
-            raise GraphFormatError("empty edge list with no header")
         n_nodes = max_id + 1
+    if n_nodes <= 0:
+        raise GraphFormatError("empty edge list with no header")
     if max_id >= n_nodes:
         raise GraphFormatError(f"node id {max_id} exceeds declared count {n_nodes}")
-    return make_graph(n_nodes, e)
+    return make_graph(n_nodes, pairs)
 
 
 def serialize_edge_list(g: Graph) -> str:

@@ -274,6 +274,8 @@ LOADER_ERRORS = [
      "line 2: negative node id in '-1 0'"),
     (lambda: load_edge_list("n 2\n\n0 0"), GraphFormatError, "line 3: self-loop 0"),
     (lambda: load_edge_list("n 2\n0 5"), GraphFormatError, "node id 5 exceeds declared count 2"),
+    (lambda: load_edge_list("n 2\n0 99999999999999999999"), GraphFormatError,
+     "node id 99999999999999999999 exceeds declared count 2"),
     (lambda: load_edge_list("n 0\n"), GraphFormatError, "line 1: node count must be >= 1"),
     (lambda: load_edge_list("# c\nn -3\n0 1"), GraphFormatError,
      "line 2: node count must be >= 1"),
