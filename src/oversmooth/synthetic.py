@@ -53,8 +53,8 @@ def write_synthetic_enzymes(data_dir, seed=DEFAULT_DATASET_SEED, n_graphs=19, at
 
     sizes = [g.n_nodes for g in graphs]
     offsets = np.cumsum(sizes) - sizes + 1  # 1-based id of each graph's first node
-    pairs = np.concatenate([g.edge_array + off for g, off in zip(graphs, offsets)])
-    adjacency = [f"{i}, {j}\n{j}, {i}" for i, j in pairs.tolist()]
+    adjacency = [f"{i}, {j}\n{j}, {i}" for g, off in zip(graphs, offsets)
+                 for i, j in (g.edge_array + off).tolist()]
     indicator = np.repeat(np.arange(1, n_graphs + 1), sizes).astype(str).tolist()
     row = ",".join(["%.6f"] * attr_width)
     attributes = [row % tuple(r) for r in rng.standard_normal((sum(sizes), attr_width)).tolist()]
