@@ -199,10 +199,9 @@ def load_tu_dataset(
         raise GraphFormatError("graph indicator ids must be >= 1")
     graph_of = np.array(indicator, dtype=np.intp) - 1  # 0-based graph index of each node
     counts = np.bincount(graph_of, minlength=n_graphs)
-    skipped = np.flatnonzero(counts == 0)
-    if skipped.size:
+    if counts.min() == 0:
         raise GraphFormatError(
-            f"graph indicator skips graph id {skipped[0] + 1} (ids must be 1..{n_graphs})"
+            f"graph indicator skips graph id {counts.argmin() + 1} (ids must be 1..{n_graphs})"
         )
     # nodes grouped by graph, file order kept inside each graph; pos is a node's
     # place in that order, so graph k's nodes hold pos starts[k] .. starts[k + 1] - 1
