@@ -65,14 +65,15 @@ class Graph:
             raise DomainError("graph must have at least one node")
         e = np.array(self.edge_array, dtype=np.intp).reshape(-1, 2)
         lo, hi = e[:, 0], e[:, 1]
-        for bad, message in (
-            (lo == hi, "self-loop at node {0}"),
-            ((e < 0).any(axis=1) | (e >= self.n_nodes).any(axis=1),
-             f"edge ({{0}}, {{1}}) outside [0, {self.n_nodes})"),
-            (lo > hi, "edge ({0}, {1}) not stored as (min, max)"),
-        ):
-            if bad.any():
-                raise DomainError(message.format(*e[np.argmax(bad)]))
+        if (lo == hi).any():
+            raise DomainError(f"self-loop at node {lo[np.argmax(lo == hi)]}")
+        outside = (e < 0).any(axis=1) | (e >= self.n_nodes).any(axis=1)
+        if outside.any():
+            i, j = e[np.argmax(outside)]
+            raise DomainError(f"edge ({i}, {j}) outside [0, {self.n_nodes})")
+        if (lo > hi).any():
+            i, j = e[np.argmax(lo > hi)]
+            raise DomainError(f"edge ({i}, {j}) not stored as (min, max)")
         step = np.diff(lo)
         if np.any((step < 0) | ((step == 0) & (np.diff(hi) <= 0))):
             raise DomainError("edges not sorted and unique")
