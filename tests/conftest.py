@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oversmooth import OperatorKind, load_edge_list, make_graph
+from oversmooth import GraphFormatError, OperatorKind, load_edge_list, make_graph
 from oversmooth.synthetic import random_connected_graph, write_synthetic_enzymes  # noqa: F401
 
 PENDANT_TRIANGLE_TEXT = "n 4\n0 1\n0 2\n0 3\n1 2\n"
@@ -50,6 +50,159 @@ def edge_sum_energy(g, x, kind, include_volume_constant=False):
     if include_volume_constant:
         total /= g.n_nodes
     return total
+
+
+def reference_load_edge_list(text):
+    """Independent oracle: the edge-list format parsed line by line, int() per token."""
+    n_nodes = None
+    pairs = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "n":
+            if n_nodes is not None or pairs:
+                raise GraphFormatError(f"line {lineno}: header must come first")
+            if len(parts) != 2:
+                raise GraphFormatError(f"line {lineno}: malformed header {raw!r}")
+            try:
+                n_nodes = int(parts[1])
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: malformed header {raw!r}") from None
+            if n_nodes < 1:
+                raise GraphFormatError(f"line {lineno}: node count must be >= 1")
+            continue
+        if len(parts) != 2:
+            raise GraphFormatError(f"line {lineno}: expected 'i j', got {raw!r}")
+        try:
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError(f"line {lineno}: non-integer node id in {raw!r}") from None
+        if i < 0 or j < 0:
+            raise GraphFormatError(f"line {lineno}: negative node id in {raw!r}")
+        if i == j:
+            raise GraphFormatError(f"line {lineno}: self-loop {i}")
+        pairs.append((i, j))
+    max_id = max(map(max, pairs), default=-1)
+    if n_nodes is None:
+        n_nodes = max_id + 1
+    if n_nodes <= 0:
+        raise GraphFormatError("empty edge list with no header")
+    if max_id >= n_nodes:
+        raise GraphFormatError(f"node id {max_id} exceeds declared count {n_nodes}")
+    return make_graph(n_nodes, pairs)
+
+
+def reference_load_tu_dataset(adjacency_text, indicator_text, node_attr_text=None):
+    """Independent oracle: the TU format parsed line by line, int() / float() per token."""
+    indicator = []
+    for lineno, raw in enumerate(indicator_text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            indicator.append(int(line))
+        except ValueError:
+            raise GraphFormatError(f"indicator line {lineno}: {raw!r}") from None
+    if not indicator:
+        raise GraphFormatError("empty graph indicator file")
+    total_nodes = len(indicator)
+    n_graphs = max(indicator)
+    if min(indicator) < 1:
+        raise GraphFormatError("graph indicator ids must be >= 1")
+    for expected, gid in enumerate(sorted(set(indicator)), start=1):
+        if gid != expected:
+            raise GraphFormatError(
+                f"graph indicator skips graph id {expected} (ids must be 1..{n_graphs})"
+            )
+    members = [[] for _ in range(n_graphs)]  # global 0-based node ids of each graph, file order
+    local = []  # each node's place in its graph
+    for node, gid in enumerate(indicator):
+        local.append(len(members[gid - 1]))
+        members[gid - 1].append(node)
+
+    edges = [[] for _ in range(n_graphs)]
+    for lineno, raw in enumerate(adjacency_text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.replace(",", " ").split()
+        if len(parts) != 2:
+            raise GraphFormatError(f"adjacency line {lineno}: expected 'i, j', got {raw!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError(f"adjacency line {lineno}: non-integer id in {raw!r}") from None
+        if not (1 <= u <= total_nodes and 1 <= v <= total_nodes):
+            raise GraphFormatError(f"adjacency line {lineno}: node id out of range")
+        if u == v:
+            raise GraphFormatError(f"adjacency line {lineno}: self-loop at node {u}")
+        gu, gv = indicator[u - 1] - 1, indicator[v - 1] - 1
+        if gu != gv:
+            raise GraphFormatError(f"adjacency line {lineno}: edge crosses graphs {gu} and {gv}")
+        edges[gu].append((local[u - 1], local[v - 1]))
+    graphs = [make_graph(len(nodes), pairs) for nodes, pairs in zip(members, edges)]
+
+    attrs = [None] * n_graphs
+    if node_attr_text is not None:
+        rows = []
+        for lineno, raw in enumerate(node_attr_text.splitlines(), start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                rows.append([float(tok) for tok in line.split(",")])
+            except ValueError:
+                raise GraphFormatError(f"attribute line {lineno}: {raw!r}") from None
+        if len(rows) != total_nodes:
+            raise GraphFormatError(f"attribute row count {len(rows)} != node count {total_nodes}")
+        if len(set(map(len, rows))) != 1:
+            raise GraphFormatError("inconsistent attribute row widths")
+        attrs = [np.array([rows[node] for node in nodes], dtype=float) for nodes in members]
+    return list(zip(graphs, attrs))
+
+
+def reference_load_cora(content_text, cites_text):
+    """Independent oracle: the citation format parsed line by line, float() per token."""
+    index = {}
+    feats = []
+    for lineno, raw in enumerate(content_text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) < 3:
+            raise GraphFormatError(f"content line {lineno}: too few fields")
+        node_id = parts[0]
+        if node_id in index:
+            raise GraphFormatError(f"content line {lineno}: duplicate node id {node_id}")
+        try:
+            row = [float(tok) for tok in parts[1:-1]]
+        except ValueError:
+            raise GraphFormatError(f"content line {lineno}: non-numeric feature") from None
+        if feats and len(row) != len(feats[0]):
+            raise GraphFormatError(
+                f"content line {lineno}: {len(row)} features, expected {len(feats[0])}"
+            )
+        feats.append(row)
+        index[node_id] = len(index)
+    if not index:
+        raise GraphFormatError("empty content file")
+
+    pairs = []
+    for lineno, raw in enumerate(cites_text.splitlines(), start=1):
+        parts = raw.split()
+        if not parts:
+            continue
+        if len(parts) != 2:
+            raise GraphFormatError(f"cites line {lineno}: expected two ids")
+        a, b = parts
+        if a not in index or b not in index:
+            raise GraphFormatError(f"cites line {lineno}: unknown node id")
+        if a != b:  # self-citations are dropped
+            pairs.append((index[a], index[b]))
+    return make_graph(len(index), pairs), np.array(feats, dtype=float)
 
 
 @pytest.fixture

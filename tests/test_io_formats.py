@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oversmooth import (
     GraphFormatError,
@@ -14,7 +16,7 @@ from oversmooth import (
     propagate,
     superposition,
 )
-from oversmooth.dynamics import PerLayerWeights, PropagationConfig
+from oversmooth.dynamics import LayerRecord, LayerTrace, PerLayerWeights, PropagationConfig
 from oversmooth.energy import AxiomCheckResult
 from oversmooth.spectral import SuperpositionMatrix
 from oversmooth.io_formats import (
@@ -95,6 +97,29 @@ class TestTraceCsv:
         )
         with pytest.raises(GraphFormatError):
             parse_trace_csv(text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_round_trip_is_bitwise_for_any_finite_values(self, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)  # zeros and subnormals included
+        tiny = st.floats(min_value=-2.3e-308, max_value=2.3e-308)
+        value = st.one_of(finite, tiny, st.sampled_from([0.0, -0.0, 5e-324]))
+        records = tuple(
+            LayerRecord(k, *(data.draw(value) for _ in range(4)),
+                        data.draw(st.none() | value), data.draw(st.none() | value))
+            for k in range(data.draw(st.integers(1, 6)))
+        )
+        trace = LayerTrace(data.draw(st.sampled_from(list(OperatorKind))), records,
+                           data.draw(st.booleans()))
+        back = parse_trace_csv(export_trace_csv(trace))
+        assert (back.operator_kind, back.track_volume_constant) == (
+            trace.operator_kind, trace.track_volume_constant)
+        assert len(back.records) == len(records)
+        for got, want in zip(back.records, records):
+            for a, b in zip(vars(got).values(), vars(want).values()):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert np.float64(a).view(np.int64) == np.float64(b).view(np.int64)
 
     def test_determinism(self, k4_trace, manifest):
         assert export_trace_csv(k4_trace, manifest) == export_trace_csv(k4_trace, manifest)
