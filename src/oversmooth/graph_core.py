@@ -7,8 +7,12 @@ symbolic ids, converted at parse time.
 
 from __future__ import annotations
 
+import re
+import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NoReturn
 
 import numpy as np
 
@@ -120,50 +124,102 @@ def make_graph(n_nodes: int, edge_pairs) -> Graph:
     return Graph(n_nodes, _canonical(np.fromiter(edge_pairs, dtype=(np.intp, 2))))
 
 
+def _read(lines: list[str], dtype, width: int | None = None, *, delimiter=None, comments=None):
+    """The fields of ``lines`` as a 2-D array read by numpy's C reader, or None if it refuses them.
+
+    The reader skips blank lines and, with comments="#", the text from a '#'. It refuses a
+    field it cannot convert (an integer beyond int64 among them) and rows of unequal width;
+    rows that are not ``width`` wide are refused too. No rows give a (0, width) array.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            a = np.loadtxt(lines, dtype=dtype, comments=comments, delimiter=delimiter, ndmin=2)
+        except UserWarning:  # loadtxt's warning that the input holds no rows
+            return np.empty((0, width or 0), dtype=dtype)
+        except (ValueError, Warning):
+            return None
+    return a if width is None or a.shape[1] == width else None
+
+
+# a decimal integer: the reader refuses one only when it lies beyond int64
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _raise_first(faults: Iterator[str]) -> NoReturn:
+    """Raise the first fault that the walk of a refused file finds, in file order.
+
+    Each walk yields the first fault of each bad line, then the faults of the whole
+    file; it only names faults and builds no result.
+    """
+    raise GraphFormatError(next(faults, "file refused by the text reader"))
+
+
+def _edge_list_faults(lines: list[str]) -> Iterator[str]:
+    n_nodes, seen, beyond = None, False, None
+    for lineno, raw in enumerate(lines, start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        at = f"line {lineno}"
+        if parts[0] == "n":
+            count = _read(parts[1:], np.int64, 1) if len(parts) == 2 else None
+            if seen:
+                yield f"{at}: header must come first"
+            elif count is None:
+                yield f"{at}: malformed header {raw!r}"
+            elif count[0, 0] < 1:
+                yield f"{at}: node count must be >= 1"
+            else:
+                n_nodes = int(count[0, 0])
+        elif len(parts) != 2:
+            yield f"{at}: expected 'i j', got {raw!r}"
+        elif (ids := _read([raw], np.int64, 2, comments="#")) is None and not all(
+            map(_INTEGER.fullmatch, parts)
+        ):
+            yield f"{at}: non-integer node id in {raw!r}"
+        else:
+            i, j = map(int, parts if ids is None else ids[0])
+            if i < 0 or j < 0:
+                yield f"{at}: negative node id in {raw!r}"
+            elif i == j:
+                yield f"{at}: self-loop {i}"
+            elif ids is None and n_nodes is None:
+                yield f"{at}: node id {max(i, j)} exceeds the int64 range"
+            elif ids is None:
+                beyond = max(i, j, beyond or 0)
+        seen = True
+    if beyond is not None:
+        yield f"node id {beyond} exceeds declared count {n_nodes}"
+
+
 def load_edge_list(text: str) -> Graph:
     """Parse the edge-list text format.
 
     Lines are "i j" with 0-based integer ids; '#' starts a comment; an optional
     header line "n <count>" fixes the node count (otherwise max id + 1).
     """
+    lines = text.splitlines()
+    first = next((k for k, raw in enumerate(lines) if raw.split("#", 1)[0].split()), len(lines))
+    head = lines[first].split("#", 1)[0].split() if lines[first:] else []
     n_nodes = None
-    pairs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "n":
-            if n_nodes is not None or pairs:
-                raise GraphFormatError(f"line {lineno}: header must come first")
-            if len(parts) != 2:
-                raise GraphFormatError(f"line {lineno}: malformed header {raw!r}")
-            try:
-                n_nodes = int(parts[1])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: malformed header {raw!r}") from None
-            if n_nodes < 1:
-                raise GraphFormatError(f"line {lineno}: node count must be >= 1")
-            continue
-        if len(parts) != 2:
-            raise GraphFormatError(f"line {lineno}: expected 'i j', got {raw!r}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer node id in {raw!r}") from None
-        if i < 0 or j < 0:
-            raise GraphFormatError(f"line {lineno}: negative node id in {raw!r}")
-        if i == j:
-            raise GraphFormatError(f"line {lineno}: self-loop {i}")
-        pairs.append((i, j))
-    max_id = max(map(max, pairs), default=-1)  # a Python int: checked before numpy sees it
+    if head[0:1] == ["n"]:
+        count = _read(head[1:], np.int64, 1) if len(head) == 2 else None
+        if count is None or count[0, 0] < 1:
+            _raise_first(_edge_list_faults(lines))
+        n_nodes = int(count[0, 0])
+        first += 1
+    e = _read(lines[first:], np.int64, 2, comments="#")
+    if e is None or (e < 0).any() or (e[:, 0] == e[:, 1]).any():
+        _raise_first(_edge_list_faults(lines))
+    max_id = int(e.max()) if len(e) else -1
     if n_nodes is None:
         n_nodes = max_id + 1
     if n_nodes <= 0:
         raise GraphFormatError("empty edge list with no header")
     if max_id >= n_nodes:
         raise GraphFormatError(f"node id {max_id} exceeds declared count {n_nodes}")
-    return make_graph(n_nodes, pairs)
+    return Graph(n_nodes, _canonical(e))
 
 
 def serialize_edge_list(g: Graph) -> str:
@@ -171,6 +227,46 @@ def serialize_edge_list(g: Graph) -> str:
     lines = [f"n {g.n_nodes}"]
     lines.extend(f"{i} {j}" for i, j in g.edge_array.tolist())
     return "\n".join(lines) + "\n"
+
+
+def _indicator_faults(lines: list[str]) -> Iterator[str]:
+    for lineno, raw in enumerate(lines, start=1):
+        if raw.strip() and _read([raw], np.int64, 1) is None:
+            yield f"indicator line {lineno}: {raw!r}"
+
+
+def _adjacency_faults(lines: list[str], graph_of: np.ndarray) -> Iterator[str]:
+    for lineno, raw in enumerate(lines, start=1):
+        if not raw.strip():
+            continue
+        parts = raw.replace(",", " ").split()
+        at = f"adjacency line {lineno}"
+        ids = _read([" ".join(parts)], np.int64, 2) if len(parts) == 2 else None
+        if len(parts) != 2:
+            yield f"{at}: expected 'i, j', got {raw!r}"
+        elif ids is None and not all(map(_INTEGER.fullmatch, parts)):
+            yield f"{at}: non-integer id in {raw!r}"
+        elif ids is None or ids.min() < 1 or ids.max() > len(graph_of):
+            yield f"{at}: node id out of range"
+        elif ids[0, 0] == ids[0, 1]:
+            yield f"{at}: self-loop at node {ids[0, 0]}"
+        elif (gu := graph_of[ids[0, 0] - 1]) != (gv := graph_of[ids[0, 1] - 1]):
+            yield f"{at}: edge crosses graphs {gu} and {gv}"
+
+
+def _attribute_faults(lines: list[str], total_nodes: int) -> Iterator[str]:
+    widths = []
+    for lineno, raw in enumerate(lines, start=1):
+        if not raw.strip():
+            continue
+        row = _read([raw.strip()], float, delimiter=",")
+        if row is None:
+            yield f"attribute line {lineno}: {raw!r}"
+        else:
+            widths.append(row.shape[1])
+    if len(widths) != total_nodes:
+        yield f"attribute row count {len(widths)} != node count {total_nodes}"
+    yield "inconsistent attribute row widths"
 
 
 def load_tu_dataset(
@@ -183,27 +279,24 @@ def load_tu_dataset(
     Node ids and graph ids are 1-based in the files; each returned graph is
     re-based to dense 0-based ids in original node order.
     """
-    indicator = []
-    for lineno, raw in enumerate(indicator_text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            indicator.append(int(line))
-        except ValueError:
-            raise GraphFormatError(f"indicator line {lineno}: {raw!r}") from None
-    if not indicator:
+    lines = indicator_text.splitlines()
+    indicator = _read(lines, np.int64, 1)
+    if indicator is None:
+        _raise_first(_indicator_faults(lines))
+    if not len(indicator):
         raise GraphFormatError("empty graph indicator file")
-    total_nodes = len(indicator)
-    n_graphs = max(indicator)
-    if min(indicator) < 1:
+    if indicator.min() < 1:
         raise GraphFormatError("graph indicator ids must be >= 1")
-    graph_of = np.array(indicator, dtype=np.intp) - 1  # 0-based graph index of each node
-    counts = np.bincount(graph_of, minlength=n_graphs)
-    if counts.min() == 0:
+    graph_of = indicator[:, 0] - 1  # 0-based graph index of each node
+    total_nodes = len(graph_of)
+    present = np.unique(graph_of)  # sorted: a skipped id is the first place it leaves 0, 1, 2, ...
+    n_graphs = int(present[-1]) + 1
+    if len(present) != n_graphs:
+        skipped = int(np.argmax(present != np.arange(len(present)))) + 1
         raise GraphFormatError(
-            f"graph indicator skips graph id {counts.argmin() + 1} (ids must be 1..{n_graphs})"
+            f"graph indicator skips graph id {skipped} (ids must be 1..{n_graphs})"
         )
+    counts = np.bincount(graph_of, minlength=n_graphs)
     # nodes grouped by graph, file order kept inside each graph; pos is a node's
     # place in that order, so graph k's nodes hold pos starts[k] .. starts[k + 1] - 1
     by_graph = np.argsort(graph_of, kind="stable")
@@ -211,52 +304,53 @@ def load_tu_dataset(
     pos[by_graph] = np.arange(total_nodes)
     starts = np.cumsum(counts) - counts
 
-    pairs = []
-    for lineno, raw in enumerate(adjacency_text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.replace(",", " ").split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"adjacency line {lineno}: expected 'i, j', got {raw!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(f"adjacency line {lineno}: non-integer id in {raw!r}") from None
-        if not (1 <= u <= total_nodes and 1 <= v <= total_nodes):
-            raise GraphFormatError(f"adjacency line {lineno}: node id out of range")
-        if u == v:
-            raise GraphFormatError(f"adjacency line {lineno}: self-loop at node {u}")
-        gu, gv = indicator[u - 1] - 1, indicator[v - 1] - 1
-        if gu != gv:
-            raise GraphFormatError(f"adjacency line {lineno}: edge crosses graphs {gu} and {gv}")
-        pairs.append((u - 1, v - 1))
-
+    lines = adjacency_text.splitlines()
+    # commas read as blanks; a line of commas alone is still a line, so rows are counted
+    a = _read(adjacency_text.replace(",", " ").splitlines(), np.int64, 2)
+    if (
+        a is None
+        or len(a) != sum(map(bool, map(str.strip, lines)))
+        or ((a < 1) | (a > total_nodes)).any()
+        or (a[:, 0] == a[:, 1]).any()
+        or (graph_of[a[:, 0] - 1] != graph_of[a[:, 1] - 1]).any()
+    ):
+        _raise_first(_adjacency_faults(lines, graph_of))
     # in pos ids the canonical order is by (graph, local min, local max)
-    e = _canonical(pos[np.array(pairs, dtype=np.intp).reshape(-1, 2)])
+    e = _canonical(pos[a - 1])
     parts = np.split(e, np.searchsorted(e[:, 0], starts[1:]))
     graphs = [Graph(int(n), part - start) for n, start, part in zip(counts, starts, parts)]
 
     attrs: list[np.ndarray | None] = [None] * n_graphs
     if node_attr_text is not None:
-        rows = []
-        for lineno, raw in enumerate(node_attr_text.splitlines(), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError:
-                raise GraphFormatError(f"attribute line {lineno}: {raw!r}") from None
-        if len(rows) != total_nodes:
-            raise GraphFormatError(
-                f"attribute row count {len(rows)} != node count {total_nodes}"
-            )
-        if len(set(map(len, rows))) != 1:
-            raise GraphFormatError("inconsistent attribute row widths")
-        grouped = np.asarray(rows, dtype=float)[by_graph]
-        attrs = np.split(grouped, starts[1:])
+        lines = node_attr_text.splitlines()
+        x = _read([row for row in map(str.strip, lines) if row], float, delimiter=",")
+        if x is None:
+            _raise_first(_attribute_faults(lines, total_nodes))
+        if len(x) != total_nodes:
+            raise GraphFormatError(f"attribute row count {len(x)} != node count {total_nodes}")
+        attrs = np.split(x[by_graph], starts[1:])
     return list(zip(graphs, attrs))
+
+
+def _content_faults(lines: list[str]) -> Iterator[str]:
+    seen, width = set(), None
+    for lineno, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if not parts:
+            continue
+        at = f"content line {lineno}"
+        row = _read([" ".join(parts[1:-1])], float) if len(parts) >= 3 else None
+        if len(parts) < 3:
+            yield f"{at}: too few fields"
+        elif parts[0] in seen:
+            yield f"{at}: duplicate node id {parts[0]}"
+        elif row is None:
+            yield f"{at}: non-numeric feature"
+        else:
+            width = width or row.shape[1]  # the first row's
+            if row.shape[1] != width:
+                yield f"{at}: {row.shape[1]} features, expected {width}"
+        seen.add(parts[0])
 
 
 def load_cora(content_text: str, cites_text: str) -> tuple[Graph, np.ndarray]:
@@ -265,30 +359,19 @@ def load_cora(content_text: str, cites_text: str) -> tuple[Graph, np.ndarray]:
     Returns the undirected citation graph and the node feature matrix, node
     order following the content file. Labels are parsed but not returned.
     """
-    ids: list[str] = []
-    index: dict[str, int] = {}
-    feats: list[list[float]] = []
-    for lineno, raw in enumerate(content_text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) < 3:
-            raise GraphFormatError(f"content line {lineno}: too few fields")
-        node_id = parts[0]
-        if node_id in index:
-            raise GraphFormatError(f"content line {lineno}: duplicate node id {node_id}")
-        try:
-            row = [float(tok) for tok in parts[1:-1]]
-        except ValueError:
-            raise GraphFormatError(f"content line {lineno}: non-numeric feature") from None
-        if feats and len(row) != len(feats[0]):
-            raise GraphFormatError(
-                f"content line {lineno}: {len(row)} features, expected {len(feats[0])}"
-            )
-        feats.append(row)
-        index[node_id] = len(ids)
-        ids.append(node_id)
+    lines = content_text.splitlines()
+    ids, tails = [], []
+    for raw in lines:
+        head = raw.split(None, 1)  # [id, features and label], [id] or [] for a blank line
+        if head:
+            ids.append(head[0])
+            tails.append(head[-1].rsplit(None, 1))  # [features, label] if the line has 3 fields
+    index = {node_id: k for k, node_id in enumerate(ids)}
+    x = None
+    if all(len(tail) == 2 for tail in tails) and len(index) == len(ids):
+        x = _read([tail[0] for tail in tails], float)
+    if x is None:
+        _raise_first(_content_faults(lines))
     if not ids:
         raise GraphFormatError("empty content file")
 
@@ -307,8 +390,7 @@ def load_cora(content_text: str, cites_text: str) -> tuple[Graph, np.ndarray]:
             continue  # drop self-citations
         pairs.append((index[a], index[b]))
 
-    g = make_graph(len(ids), pairs)
-    return g, np.asarray(feats, dtype=float)
+    return make_graph(len(ids), pairs), x
 
 
 def connected_components(g: Graph) -> list[list[int]]:

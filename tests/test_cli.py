@@ -335,6 +335,20 @@ class TestUsageErrors:
         assert main(["analyze", "--graph", str(path)]) == 1
         assert capsys.readouterr().err == "error: line 1: node count must be >= 1\n"
 
+    def test_id_beyond_int64_is_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text("0 99999999999999999999\n")
+        assert main(["analyze", "--graph", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 1: node id 99999999999999999999 exceeds the int64 range\n")
+
+    def test_graph_id_beyond_int64_is_exit_1(self, synthetic_enzymes_dir, capsys):
+        indicator = synthetic_enzymes_dir / "ENZYMES_graph_indicator.txt"
+        indicator.write_text("99999999999999999999\n" + indicator.read_text())
+        assert main(["analyze", "--graph", "enzymes:0", "--data-dir",
+                     str(synthetic_enzymes_dir)]) == 1
+        assert capsys.readouterr().err == "error: indicator line 1: '99999999999999999999'\n"
+
     def test_missing_file_is_exit_1(self, capsys):
         assert main(["analyze", "--graph", "/nonexistent/edges.txt"]) == 1
 

@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import networkx as nx
@@ -193,6 +194,17 @@ class TestTUDataset:
         with pytest.raises(GraphFormatError, match="skips graph id 2"):
             load_tu_dataset("1, 2\n2, 1\n", "1\n1\n3\n")
 
+    def test_skipped_graph_id_found_without_allocating_by_the_largest_id(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphFormatError) as info:
+                load_tu_dataset("", "1\n1000000000000\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == "graph indicator skips graph id 2 (ids must be 1..1000000000000)"
+        assert peak < 1_000_000
+
     def test_synthetic_dataset_shapes(self, synthetic_enzymes_dir):
         adj = (synthetic_enzymes_dir / "ENZYMES_A.txt").read_text()
         ind = (synthetic_enzymes_dir / "ENZYMES_graph_indicator.txt").read_text()
@@ -327,6 +339,36 @@ LOADER_ERRORS = [
      "cites line 1: expected two ids"),
     (lambda: load_cora("a 1.0 l\nb 2.0 l\n", "a b\nb z\n"), GraphFormatError,
      "cites line 2: unknown node id"),
+    # ids beyond int64, and numerals int() / float() take but the text reader does not
+    (lambda: load_edge_list("0 99999999999999999999"), GraphFormatError,
+     "line 1: node id 99999999999999999999 exceeds the int64 range"),
+    (lambda: load_edge_list("n 99999999999999999999\n0 1"), GraphFormatError,
+     "line 1: malformed header 'n 99999999999999999999'"),
+    (lambda: load_edge_list("n 2\n-99999999999999999999 0"), GraphFormatError,
+     "line 2: negative node id in '-99999999999999999999 0'"),
+    (lambda: load_tu_dataset("", "1\n99999999999999999999\n"), GraphFormatError,
+     "indicator line 2: '99999999999999999999'"),
+    (lambda: load_tu_dataset("", "1\n-99999999999999999999\n"), GraphFormatError,
+     "indicator line 2: '-99999999999999999999'"),
+    (lambda: load_tu_dataset("1, 99999999999999999999\n", TOY_IND), GraphFormatError,
+     "adjacency line 1: node id out of range"),
+    (lambda: load_edge_list("n 2\n0 1_0"), GraphFormatError,
+     "line 2: non-integer node id in '0 1_0'"),
+    (lambda: load_edge_list("n 1_0\n0 1"), GraphFormatError, "line 1: malformed header 'n 1_0'"),
+    (lambda: load_edge_list("n 2\n0 \u0661"), GraphFormatError,
+     "line 2: non-integer node id in '0 \u0661'"),
+    (lambda: load_tu_dataset("", "1\n1_0\n"), GraphFormatError, "indicator line 2: '1_0'"),
+    (lambda: load_tu_dataset("1, \u0662\n", TOY_IND), GraphFormatError,
+     "adjacency line 1: non-integer id in '1, \u0662'"),
+    (lambda: load_tu_dataset("1, 2\n", TOY_IND, "1.0\n1_0\n3.0\n4.0\n"), GraphFormatError,
+     "attribute line 2: '1_0'"),
+    (lambda: load_tu_dataset("1, 2\n", TOY_IND, "1.0\n\u0661.5\n3.0\n4.0\n"), GraphFormatError,
+     "attribute line 2: '\u0661.5'"),
+    (lambda: load_cora("a 1.0 l\nb 1_0 l\n", ""), GraphFormatError,
+     "content line 2: non-numeric feature"),
+    (lambda: load_cora("a \u0661 l\n", ""), GraphFormatError, "content line 1: non-numeric feature"),
+    (lambda: load_tu_dataset("1, 2\n,,\n", TOY_IND), GraphFormatError,
+     "adjacency line 2: expected 'i, j', got ',,'"),
     (lambda: make_graph(0, []), DomainError, "graph must have at least one node"),
     (lambda: make_graph(2, [(0, 5)]), DomainError, "edge (0, 5) outside [0, 2)"),
     (lambda: make_graph(3, [(2, -1)]), DomainError, "edge (-1, 2) outside [0, 3)"),
