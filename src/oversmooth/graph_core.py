@@ -3,6 +3,10 @@
 A graph is its node count and its edge array. Node ids are dense 0-based
 integers after ingestion. TU-format and Cora files use their native 1-based /
 symbolic ids, converted at parse time.
+
+The loaders read each file with numpy's C text reader and check it as whole
+arrays. When the reader or a check refuses a file, a walk over its lines names
+the first fault in file order.
 """
 
 from __future__ import annotations
@@ -124,7 +128,9 @@ def make_graph(n_nodes: int, edge_pairs) -> Graph:
     return Graph(n_nodes, _canonical(np.fromiter(edge_pairs, dtype=(np.intp, 2))))
 
 
-def _read(lines: list[str], dtype, width: int | None = None, *, delimiter=None, comments=None):
+def _read(
+    lines: list[str], dtype, width: int | None = None, *, delimiter=None, comments=None
+) -> np.ndarray | None:
     """The fields of ``lines`` as a 2-D array read by numpy's C reader, or None if it refuses them.
 
     The reader skips blank lines and, with comments="#", the text from a '#'. It refuses a
@@ -155,6 +161,12 @@ def _raise_first(faults: Iterator[str]) -> NoReturn:
     raise GraphFormatError(next(faults, "file refused by the text reader"))
 
 
+def _header_count(parts: list[str]) -> int | None:
+    """The node count of an edge-list header split into fields, or None if it is malformed."""
+    count = _read(parts[1:], np.int64, 1) if len(parts) == 2 else None
+    return None if count is None else int(count[0, 0])
+
+
 def _edge_list_faults(lines: list[str]) -> Iterator[str]:
     n_nodes, seen, beyond = None, False, None
     for lineno, raw in enumerate(lines, start=1):
@@ -163,20 +175,19 @@ def _edge_list_faults(lines: list[str]) -> Iterator[str]:
             continue
         at = f"line {lineno}"
         if parts[0] == "n":
-            count = _read(parts[1:], np.int64, 1) if len(parts) == 2 else None
             if seen:
                 yield f"{at}: header must come first"
-            elif count is None:
+            elif (n_nodes := _header_count(parts)) is None:
                 yield f"{at}: malformed header {raw!r}"
-            elif count[0, 0] < 1:
+            elif n_nodes < 1:
                 yield f"{at}: node count must be >= 1"
-            else:
-                n_nodes = int(count[0, 0])
-        elif len(parts) != 2:
+            seen = True
+            continue
+        seen = True
+        ids = _read([raw], np.int64, 2, comments="#") if len(parts) == 2 else None
+        if len(parts) != 2:
             yield f"{at}: expected 'i j', got {raw!r}"
-        elif (ids := _read([raw], np.int64, 2, comments="#")) is None and not all(
-            map(_INTEGER.fullmatch, parts)
-        ):
+        elif ids is None and not all(map(_INTEGER.fullmatch, parts)):
             yield f"{at}: non-integer node id in {raw!r}"
         else:
             i, j = map(int, parts if ids is None else ids[0])
@@ -188,7 +199,6 @@ def _edge_list_faults(lines: list[str]) -> Iterator[str]:
                 yield f"{at}: node id {max(i, j)} exceeds the int64 range"
             elif ids is None:
                 beyond = max(i, j, beyond or 0)
-        seen = True
     if beyond is not None:
         yield f"node id {beyond} exceeds declared count {n_nodes}"
 
@@ -204,10 +214,9 @@ def load_edge_list(text: str) -> Graph:
     head = lines[first].split("#", 1)[0].split() if lines[first:] else []
     n_nodes = None
     if head[0:1] == ["n"]:
-        count = _read(head[1:], np.int64, 1) if len(head) == 2 else None
-        if count is None or count[0, 0] < 1:
+        n_nodes = _header_count(head)
+        if n_nodes is None or n_nodes < 1:
             _raise_first(_edge_list_faults(lines))
-        n_nodes = int(count[0, 0])
         first += 1
     e = _read(lines[first:], np.int64, 2, comments="#")
     if e is None or (e < 0).any() or (e[:, 0] == e[:, 1]).any():
