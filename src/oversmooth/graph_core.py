@@ -275,7 +275,8 @@ def _attribute_faults(lines: list[str], total_nodes: int) -> Iterator[str]:
             widths.append(row.shape[1])
     if len(widths) != total_nodes:
         yield f"attribute row count {len(widths)} != node count {total_nodes}"
-    yield "inconsistent attribute row widths"
+    if len(set(widths)) > 1:
+        yield "inconsistent attribute row widths"
 
 
 def load_tu_dataset(
