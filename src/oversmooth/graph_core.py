@@ -314,17 +314,18 @@ def load_tu_dataset(
     pos[by_graph] = np.arange(total_nodes)
     starts = np.cumsum(counts) - counts
 
-    lines = adjacency_text.splitlines()
-    # commas read as blanks; a line of commas alone is still a line, so rows are counted
-    a = _read(adjacency_text.replace(",", " ").splitlines(), np.int64, 2)
+    rows = adjacency_text.replace(",", " ").splitlines()
+    a = _read(rows, np.int64, 2)
     if (
         a is None
-        or len(a) != sum(map(bool, map(str.strip, lines)))
+        # commas read as blanks, but a line of commas alone is a bad line, not a blank one
+        or (len(a) != len(rows)
+            and len(a) != sum(map(bool, map(str.strip, adjacency_text.splitlines()))))
         or ((a < 1) | (a > total_nodes)).any()
         or (a[:, 0] == a[:, 1]).any()
         or (graph_of[a[:, 0] - 1] != graph_of[a[:, 1] - 1]).any()
     ):
-        _raise_first(_adjacency_faults(lines, graph_of))
+        _raise_first(_adjacency_faults(adjacency_text.splitlines(), graph_of))
     # in pos ids the canonical order is by (graph, local min, local max)
     e = _canonical(pos[a - 1])
     parts = np.split(e, np.searchsorted(e[:, 0], starts[1:]))

@@ -366,7 +366,8 @@ LOADER_ERRORS = [
      "attribute line 2: '\u0661.5'"),
     (lambda: load_cora("a 1.0 l\nb 1_0 l\n", ""), GraphFormatError,
      "content line 2: non-numeric feature"),
-    (lambda: load_cora("a \u0661 l\n", ""), GraphFormatError, "content line 1: non-numeric feature"),
+    (lambda: load_cora("a \u0661 l\n", ""), GraphFormatError,
+     "content line 1: non-numeric feature"),
     (lambda: load_tu_dataset("1, 2\n,,\n", TOY_IND), GraphFormatError,
      "adjacency line 2: expected 'i, j', got ',,'"),
     (lambda: make_graph(0, []), DomainError, "graph must have at least one node"),

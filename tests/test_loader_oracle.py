@@ -105,7 +105,8 @@ def tu_texts(draw):
     sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
     indicator = draw(st.permutations([g for g, s in enumerate(sizes, 1) for _ in range(s)]))
     total = len(indicator)
-    members = {g: [v + 1 for v in range(total) if indicator[v] == g] for g in range(1, len(sizes) + 1)}
+    members = {g: [v + 1 for v in range(total) if indicator[v] == g]
+               for g in range(1, len(sizes) + 1)}
     adjacency = []
     for _ in range(draw(st.integers(0, 10))):
         nodes = members[draw(st.integers(1, len(sizes)))]
@@ -135,9 +136,10 @@ def tu_texts(draw):
             ["x", "0", "1.5", "", "  ", "-1", str(len(sizes) + 2), "1 2", "1,"])),
         with_faults(draw, adjacency, st.sampled_from(
             ["1, 2, 3", "1, x", "x, 1", "0, 1", f"{total + 1}, 1", "1, 1", cross, "1", "1.0, 2",
-             "-1, 2", "  "])),
+             "-1, 2", "  ", ",,", " , "])),
         with_faults(draw, attributes, st.sampled_from(
-            ["x", "1.0,,2.0", "1.0,", ",1.0", "1.0, 2.0, 3.0, 4.0", "1.0 2.0", "  ", "nan(1)"])),
+            ["x", "1.0,,2.0", "1.0,", ",1.0", "1.0, 2.0, 3.0, 4.0", "1.0 2.0", "  ", "nan(1)",
+             ","])),
     ]
     texts = ["\n".join(lines) + "\n" for lines in files]
     if draw(st.booleans()):
