@@ -52,12 +52,16 @@ def same_array(a, b):
         a.view(np.int64), b.view(np.int64))
 
 
-def with_faults(draw, lines, faults):
-    """lines with up to two of them replaced by, or preceded by, a drawn fault line."""
+def with_faults(draw, lines, kinds, counts=(0, 0, 1)):
+    """lines with a few of them replaced by, or preceded by, a fault line.
+
+    kinds lists the kinds of fault, each a list of lines; a kind is drawn first, so
+    every kind comes up about as often as the others.
+    """
     lines = list(lines)
-    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2]))):
+    for _ in range(draw(st.sampled_from(counts))):
         at = draw(st.integers(0, len(lines)))
-        fault = draw(faults)
+        fault = draw(st.sampled_from(draw(st.sampled_from(kinds))))
         if at < len(lines) and draw(st.booleans()):
             lines[at] = fault
         else:
@@ -85,14 +89,16 @@ def edge_list_texts(draw):
                 continue
             tail = draw(st.sampled_from(["", "", " # c", "#c", "\t"]))
             lines.append(draw(PAD) + draw(int_token(i)) + draw(SPACES) + draw(int_token(j)) + tail)
-    faults = st.sampled_from([
-        "0 x", "x 1", "1.0 2", "0 1 2", "0", "-1 0", "0 -1", "2 2", "0 0", "n 3", "n", "n x",
-        "n 0", "n -2", "n 1.5", f"0 {n + 2}", f"{n + 5} 1", "# only", "  ", "0 1 # x y z",
-    ])
-    return "\n".join(with_faults(draw, lines, faults)) + draw(st.sampled_from(["", "\n", "\r\n"]))
+    faults = [
+        ["0 x", "x 1", "1.0 2"], ["0 1 2", "0"], ["-1 0", "0 -1"], ["2 2", "0 0", f"{n} {n}"],
+        ["n 3", "n 9"], ["n", "n x", "n 1.5"], ["n 0", "n -2"], [f"0 {n + 2}", f"{n + 5} 1"],
+        ["# only", "  ", "0 1 # x y z"],
+    ]
+    lines = with_faults(draw, lines, faults, counts=(0, 1, 1, 2))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(edge_list_texts())
 def test_edge_list_matches_reference(text):
     want = outcome(lambda: reference_load_edge_list(text))
@@ -132,14 +138,14 @@ def tu_texts(draw):
     if len(sizes) > 1:
         cross = f"{members[1][0]}, {members[2][0]}"
     files = [
-        with_faults(draw, map(str, indicator), st.sampled_from(
-            ["x", "0", "1.5", "", "  ", "-1", str(len(sizes) + 2), "1 2", "1,"])),
-        with_faults(draw, adjacency, st.sampled_from(
-            ["1, 2, 3", "1, x", "x, 1", "0, 1", f"{total + 1}, 1", "1, 1", cross, "1", "1.0, 2",
-             "-1, 2", "  ", ",,", " , "])),
-        with_faults(draw, attributes, st.sampled_from(
-            ["x", "1.0,,2.0", "1.0,", ",1.0", "1.0, 2.0, 3.0, 4.0", "1.0 2.0", "  ", "nan(1)",
-             ","])),
+        with_faults(draw, map(str, indicator), [
+            ["x", "1.5", "1 2", "1,"], ["0", "-1"], [str(len(sizes) + 2)], ["", "  "]]),
+        with_faults(draw, adjacency, [
+            ["1, 2, 3", "1", ",,", " , "], ["1, x", "x, 1", "1.0, 2"],
+            ["0, 1", f"{total + 1}, 1", "-1, 2"], ["1, 1"], [cross], ["  "]]),
+        with_faults(draw, attributes, [
+            ["x", "1.0,,2.0", "1.0,", ",1.0", "1.0 2.0", "nan(1)", ","],
+            ["1.0, 2.0, 3.0, 4.0"], [attributes[0]], ["  "]]),
     ]
     texts = ["\n".join(lines) + "\n" for lines in files]
     if draw(st.booleans()):
@@ -147,7 +153,7 @@ def tu_texts(draw):
     return texts
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(tu_texts())
 def test_tu_dataset_matches_reference(texts):
     want = outcome(lambda: reference_load_tu_dataset(texts[1], texts[0], texts[2]))
@@ -179,15 +185,15 @@ def cora_texts(draw):
     for _ in range(draw(st.integers(0, 8))):
         a, b = draw(st.sampled_from(ids)), draw(st.sampled_from(ids))
         cites.append(draw(PAD) + a + draw(SPACES) + b + draw(PAD))
-    content = with_faults(draw, content, st.sampled_from(
-        [f"{ids[0]} 1.0 Theory", "zz 1.0", "zz", "zz x Theory", "zz 1.0 1.0 1.0 1.0 1.0 L",
-         "zz 1,0 L", "  "]))
-    cites = with_faults(draw, cites, st.sampled_from(
-        [f"{ids[0]} zz", f"{ids[0]}", f"{ids[0]} {ids[0]} {ids[0]}", "  "]))
+    content = with_faults(draw, content, [
+        ["zz 1.0", "zz"], [f"{ids[0]} 1.0 Theory"], ["zz x Theory", "zz 1,0 L"],
+        ["zz 1.0 1.0 1.0 1.0 1.0 L"], ["  "]])
+    cites = with_faults(draw, cites, [
+        [f"{ids[0]} zz"], [f"{ids[0]}", f"{ids[0]} {ids[0]} {ids[0]}"], ["  "]])
     return "\n".join(content) + "\n", "\n".join(cites) + "\n"
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(cora_texts())
 def test_cora_matches_reference(texts):
     want = outcome(lambda: reference_load_cora(*texts))
