@@ -210,8 +210,8 @@ def load_edge_list(text: str) -> Graph:
     header line "n <count>" fixes the node count (otherwise max id + 1).
     """
     lines = text.splitlines()
-    first = next((k for k, raw in enumerate(lines) if raw.split("#", 1)[0].split()), len(lines))
-    head = lines[first].split("#", 1)[0].split() if lines[first:] else []
+    fields = (raw.split("#", 1)[0].split() for raw in lines)
+    first, head = next(((k, parts) for k, parts in enumerate(fields) if parts), (len(lines), []))
     n_nodes = None
     if head[0:1] == ["n"]:
         n_nodes = _header_count(head)
