@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +36,13 @@ def pendant_triangle_edgelist(tmp_path):
 def k4_edgelist(tmp_path):
     path = tmp_path / "k4.txt"
     path.write_text("n 4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    return str(path)
+
+
+@pytest.fixture
+def p3_edgelist(tmp_path):
+    path = tmp_path / "p3.txt"
+    path.write_text("n 3\n0 1\n1 2\n")
     return str(path)
 
 
@@ -177,6 +185,40 @@ class TestAxioms:
             "axioms", "--graph", pendant_triangle_edgelist, "--operator", "conjugate:delta",
         ]) == 0
         assert "axiom1: FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("graph, operator, holds", [
+        ("pendant_triangle_edgelist", "delta-norm", False),
+        ("pendant_triangle_edgelist", "delta-tilde-norm", False),
+        ("pendant_triangle_edgelist", "conjugate:delta", False),
+        ("p3_edgelist", "delta", True),
+    ])
+    def test_report_is_pinned(self, graph, operator, holds, request, tmp_path, capsys):
+        path = request.getfixturevalue(graph)
+        report = tmp_path / "axioms.json"
+        assert main(["axioms", "--graph", path, "--operator", operator,
+                     "--out", str(report)]) == 0
+        # a failing report's witness is the constant signal 1 * d, with d the first
+        # unit direction drawn from the default seed
+        d = [-0.4273801544622696, 0.9031781167619178, 0.04019319562067749]
+        expected = {
+            "axiom1_note": "" if holds else "constant signal with c=1.0 has nonzero measure",
+            "holds_axiom1": holds,
+            "holds_axiom2": True,
+            "manifest": {
+                "config": {"operator": operator, "trials": 20},
+                "dataset_id": Path(path).name,
+                "graph_selector": path,
+                "seed": 789001361,
+                "timestamp": "<masked>",
+                "tool_version": oversmooth.__version__,
+            },
+            "operator_kind": operator,
+            "seed": 789001361,
+            "tolerances": {"axiom1_tol": 1e-08, "axiom2_tol": 1e-09},
+            "witness_signal": None if holds else [d] * 4,
+        }
+        text = re.sub(r'"timestamp": "[^"]*"', '"timestamp": "<masked>"', report.read_text())
+        assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 class TestRatio:
