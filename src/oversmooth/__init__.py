@@ -28,17 +28,14 @@ from .operators import (  # noqa: F401
     kernel_generator,
 )
 from .energy import (  # noqa: F401
-    MeasureDescriptor,
     axiom1_check,
     axiom2_check,
-    constant_signal_energy_closed_form,
     descriptor_for,
     dirichlet_energy,
     measure,
     normalize_conjugation,
 )
 from .spectral import (  # noqa: F401
-    FilterSpec,
     SpectralDecomposition,
     SuperpositionMatrix,
     eigendecompose,
@@ -57,5 +54,4 @@ from .dynamics import (  # noqa: F401
     energy_ratio_trace,
     fit_decay,
     propagate,
-    weight_equivalence_check,
 )

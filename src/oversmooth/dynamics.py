@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import as_signal, dirichlet_energy_from_operator
+from .energy import as_signal, dirichlet_energy
 from .errors import DomainError, InsufficientDataError, NumericalError
 from .graph_core import Graph, stats
 from .operators import (
@@ -158,8 +158,7 @@ def propagate(g: Graph, x0, cfg: PropagationConfig) -> tuple[np.ndarray, LayerTr
     def record(k: int, mat: np.ndarray) -> LayerRecord:
         fro = float(np.sqrt(np.sum(mat * mat)))
         e_d, e_dn, e_dt = (
-            dirichlet_energy_from_operator(op, mat, cfg.track_volume_constant)
-            for op in laplacians
+            dirichlet_energy(op, mat, cfg.track_volume_constant) for op in laplacians
         )
         if not all(np.isfinite(v) for v in (fro, e_d, e_dn, e_dt)):
             raise NumericalError(f"non-finite metric at layer {k}", layer=k)
@@ -190,43 +189,6 @@ def propagate(g: Graph, x0, cfg: PropagationConfig) -> tuple[np.ndarray, LayerTr
         notes=tuple(notes),
     )
     return x, trace
-
-
-def weight_equivalence_check(
-    g: Graph,
-    x0,
-    dims,
-    seed: int,
-    layers: int | None = None,
-    tol: float = 1e-9,
-    operator_kind: OperatorKind = OperatorKind.NORMALIZED_ADJACENCY,
-) -> bool:
-    """Interleaved P X W1 ... vs collapsed P^K (X W1 ... WK): equal up to tol.
-
-    This is the associativity identity that lets a weighted linear stack be
-    read as an unweighted propagation of a transformed input.
-    """
-    x = as_signal(x0, g.n_nodes)
-    dims = tuple(int(d) for d in dims)
-    if layers is None:
-        layers = len(dims)
-    if len(dims) != layers:
-        raise DomainError("dims must provide one output width per layer")
-    prop = build(g, operator_kind)
-    chain = _weight_chain(PerLayerWeights(dims=dims, seed=seed), x.shape[1])
-
-    interleaved = x
-    for w in chain:
-        interleaved = (prop @ interleaved) @ w
-
-    collapsed = x
-    for w in chain:
-        collapsed = collapsed @ w
-    for _ in range(layers):
-        collapsed = prop @ collapsed
-
-    scale = max(float(np.linalg.norm(interleaved)), float(np.linalg.norm(collapsed)), 1e-300)
-    return float(np.linalg.norm(interleaved - collapsed)) <= tol * scale
 
 
 def fit_decay(series, floor: float = NUMERICAL_FLOOR) -> DecayFit:

@@ -8,7 +8,7 @@ every artifact stays a single plot-friendly file.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +19,8 @@ from .errors import GraphFormatError
 from .operators import OperatorKind
 from .spectral import SpectralDecomposition, SuperpositionMatrix
 
-TRACE_COLUMNS = (
-    "k", "fro_norm", "e_delta", "e_delta_norm", "e_delta_tilde_norm", "ratio",
-    "kernel_alignment",
-)
+_TRACE_FIELDS = fields(LayerRecord)
+TRACE_COLUMNS = tuple(f.name for f in _TRACE_FIELDS)
 
 
 def g17(x: float) -> str:
@@ -67,17 +65,24 @@ def export_trace_csv(trace: LayerTrace, manifest: RunManifest | None = None) -> 
         lines.append(f"# note: {note}")
     lines.append(",".join(TRACE_COLUMNS))
     for rec in trace.records:
-        cells = [
-            str(rec.k),
-            g17(rec.fro_norm),
-            g17(rec.e_delta),
-            g17(rec.e_delta_norm),
-            g17(rec.e_delta_tilde_norm),
-            "" if rec.ratio is None else g17(rec.ratio),
-            "" if rec.kernel_alignment is None else g17(rec.kernel_alignment),
-        ]
-        lines.append(",".join(cells))
+        lines.append(",".join(_trace_cell(getattr(rec, name)) for name in TRACE_COLUMNS))
     return "\n".join(lines) + "\n"
+
+
+def _trace_cell(value) -> str:
+    if value is None:
+        return ""
+    return str(value) if isinstance(value, int) else g17(value)
+
+
+def _parse_trace_cell(text: str, annotation: str):
+    # the annotations are strings ("int", "float", "float | None"): LayerRecord's
+    # module postpones their evaluation
+    if annotation == "int":
+        return int(text)
+    if text == "" and annotation.endswith("| None"):
+        return None
+    return float(text)
 
 
 def parse_trace_csv(text: str) -> LayerTrace:
@@ -107,17 +112,9 @@ def parse_trace_csv(text: str) -> LayerTrace:
         cells = line.split(",")
         if len(cells) != len(TRACE_COLUMNS):
             raise GraphFormatError(f"bad trace row {line!r}")
-        records.append(
-            LayerRecord(
-                k=int(cells[0]),
-                fro_norm=float(cells[1]),
-                e_delta=float(cells[2]),
-                e_delta_norm=float(cells[3]),
-                e_delta_tilde_norm=float(cells[4]),
-                ratio=None if cells[5] == "" else float(cells[5]),
-                kernel_alignment=None if cells[6] == "" else float(cells[6]),
-            )
-        )
+        records.append(LayerRecord(
+            *(_parse_trace_cell(cell, f.type) for cell, f in zip(cells, _TRACE_FIELDS))
+        ))
     if operator_kind is None or not saw_header:
         raise GraphFormatError("trace CSV missing operator_kind preamble or header")
     return LayerTrace(
@@ -158,7 +155,7 @@ def export_report_json(
 def export_axiom_report_json(
     operator_label: str,
     axiom1: AxiomCheckResult,
-    axiom2: bool | None,
+    axiom2: bool,
     seed: int,
     tolerances: dict[str, float],
     manifest: RunManifest | None = None,

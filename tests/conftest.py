@@ -3,7 +3,19 @@ import itertools
 import numpy as np
 import pytest
 
-from oversmooth import GraphFormatError, OperatorKind, load_edge_list, make_graph
+from oversmooth import (
+    DomainError,
+    GraphFormatError,
+    OperatorKind,
+    build,
+    eigendecompose,
+    load_edge_list,
+    make_graph,
+    superposition,
+)
+from oversmooth.dynamics import PerLayerWeights, _weight_chain
+from oversmooth.energy import as_signal, quadratic_form
+from oversmooth.operators import KINDS, LAPLACIAN_KINDS
 from oversmooth.synthetic import random_connected_graph, write_synthetic_enzymes  # noqa: F401
 
 PENDANT_TRIANGLE_TEXT = "n 4\n0 1\n0 2\n0 3\n1 2\n"
@@ -51,6 +63,114 @@ def edge_sum_energy(g, x, kind, include_volume_constant=False):
         total /= g.n_nodes
     return total
 
+
+
+def constant_signal_energy_closed_form(g, kind, c):
+    """Closed form c^2 * sum_i sum_{j in N_i} (1/sqrt(d_i+s) - 1/sqrt(d_j+s))^2.
+
+    s is the degree shift of the chosen normalized Laplacian; the sum runs over
+    the edge array, counting each edge in both directions.
+    """
+    if kind not in LAPLACIAN_KINDS or KINDS[kind].shift is None:
+        raise DomainError("closed form applies to the normalized Laplacian kinds")
+    d = g.degrees + KINDS[kind].shift
+    if d.min() <= 0:
+        raise DomainError("closed form needs positive shifted degrees")
+    inv = 1.0 / np.sqrt(d)
+    diff = inv[g.edge_array[:, 0]] - inv[g.edge_array[:, 1]]
+    return c * c * 2.0 * float(np.sum(diff * diff))
+
+
+def polynomial_filter(coefficients):
+    """The spectral filter lambda -> sum_k c_k lambda^k, coefficients in ascending powers."""
+    return lambda lam: np.polynomial.polynomial.polyval(lam, coefficients)
+
+
+def propagation_filter(k):
+    """The spectral filter of k propagation steps, lambda -> (1 - lambda)^k."""
+    return lambda lam: (1.0 - lam) ** k
+
+
+def energy_direct(g, x0, f):
+    """Independent oracle: tr((f(Delta_norm) X)^T Delta (f(Delta_norm) X)) with f(M) made dense."""
+    x0 = as_signal(x0, g.n_nodes)
+    dec = eigendecompose(build(g, OperatorKind.NORMALIZED_LAPLACIAN))
+    filtered = (dec.eigenvectors * f(dec.eigenvalues)[None, :]) @ dec.eigenvectors.T
+    return quadratic_form(build(g, OperatorKind.UNNORMALIZED_LAPLACIAN), filtered @ x0)
+
+
+def frequency_mass(x, dec):
+    """Unweighted projection mass ||q_b^T X||^2 per eigenvector."""
+    proj = dec.eigenvectors.T @ as_signal(x, dec.n)
+    return np.sum(proj * proj, axis=1)
+
+
+def energy_regular_reduction(g, x0, f):
+    """Independent oracle on d-regular graphs: the single sum sum_w w |f(w/d)|^2 ||q_w^T X||^2."""
+    d = int(g.degrees[0])
+    if np.any(g.degrees != d):
+        raise DomainError("regular-graph reduction requires a regular graph")
+    dec = eigendecompose(build(g, OperatorKind.UNNORMALIZED_LAPLACIAN))
+    fvals = f(dec.eigenvalues / d)
+    return float(np.sum(dec.eigenvalues * fvals * fvals * frequency_mass(x0, dec)))
+
+
+def energy_via_superposition_reference(g, x0, f):
+    """Independent oracle: the spectral expansion as its literal five nested loops (n <= 12)."""
+    if g.n_nodes > 12:
+        raise DomainError("literal reference evaluation is limited to n <= 12")
+    x0 = as_signal(x0, g.n_nodes)
+    dec_delta = eigendecompose(build(g, OperatorKind.UNNORMALIZED_LAPLACIAN))
+    dec_norm = eigendecompose(build(g, OperatorKind.NORMALIZED_LAPLACIAN))
+    sl = superposition(dec_norm, dec_delta).entries.tolist()  # S[a, b] = <xi_a | omega_b>
+    fl = f(dec_norm.eigenvalues).tolist()
+    y = dec_delta.eigenvectors.T @ x0
+    cl = (y @ y.T).tolist()
+    n = g.n_nodes
+    total = 0.0
+    for iw, w in enumerate(dec_delta.eigenvalues.tolist()):
+        for iw1 in range(n):
+            for iw2 in range(n):
+                acc = 0.0
+                for ix in range(n):
+                    for ix2 in range(n):
+                        acc += (
+                            sl[ix][iw1] * sl[ix][iw] * sl[ix2][iw] * sl[ix2][iw2]
+                            * fl[ix] * fl[ix2]
+                        )
+                total += w * acc * cl[iw1][iw2]
+    return total
+
+
+def weight_equivalence_check(g, x0, dims, seed, layers=None, tol=1e-9,
+                             operator_kind=OperatorKind.NORMALIZED_ADJACENCY):
+    """Interleaved P X W1 ... vs collapsed P^K (X W1 ... WK): equal up to tol.
+
+    This is the associativity identity that lets a weighted linear stack be
+    read as an unweighted propagation of a transformed input; the weights are
+    the ones ``propagate`` draws for per-layer widths ``dims``.
+    """
+    x = as_signal(x0, g.n_nodes)
+    dims = tuple(int(d) for d in dims)
+    if layers is None:
+        layers = len(dims)
+    if len(dims) != layers:
+        raise DomainError("dims must provide one output width per layer")
+    prop = build(g, operator_kind)
+    chain = _weight_chain(PerLayerWeights(dims=dims, seed=seed), x.shape[1])
+
+    interleaved = x
+    for w in chain:
+        interleaved = (prop @ interleaved) @ w
+
+    collapsed = x
+    for w in chain:
+        collapsed = collapsed @ w
+    for _ in range(layers):
+        collapsed = prop @ collapsed
+
+    scale = max(float(np.linalg.norm(interleaved)), float(np.linalg.norm(collapsed)), 1e-300)
+    return float(np.linalg.norm(interleaved - collapsed)) <= tol * scale
 
 def reference_load_edge_list(text):
     """Independent oracle: the edge-list format parsed line by line, int() per token."""

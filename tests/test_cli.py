@@ -356,10 +356,18 @@ class TestUsageErrors:
         ("axioms", "--seed", "-1"),
         ("simulate", "--seed", "-1"),
         ("ratio", "--seed", "1.5"),
+        # a command is offered only the flags it reads or echoes in its manifest
+        ("analyze", "--features", "3"),
+        ("analyze", "--seed", "4"),
+        ("axioms", "--features", "3"),
+        ("spectra", "--features", "3"),
+        ("export-operator", "--features", "3"),
     ])
     def test_invalid_value_is_exit_2(self, command, flag, value, k4_edgelist, tmp_path, capsys):
+        # analyze takes no --out, which would be a usage error of its own
+        out = [] if command == "analyze" else ["--out", str(tmp_path / "o")]
         with pytest.raises(SystemExit) as exc:
-            main([command, "--graph", k4_edgelist, flag, value, "--out", str(tmp_path / "o")])
+            main([command, "--graph", k4_edgelist, flag, value, *out])
         assert exc.value.code == 2
 
     def test_axiom_operator_labels(self, pendant_triangle_edgelist, tmp_path, capsys):
@@ -383,6 +391,16 @@ class TestUsageErrors:
         assert main(["analyze", "--graph", str(path)]) == 1
         assert capsys.readouterr().err == (
             "error: line 1: node id 99999999999999999999 exceeds the int64 range\n")
+
+    @pytest.mark.parametrize("text", ["n 1000000000000000\n0 1\n", "0 1000000000000000\n"])
+    def test_unallocatable_node_count_is_exit_1(self, text, tmp_path, capsys):
+        # 10^15 nodes need 7.11 PiB of degree counts, past any address space:
+        # numpy refuses the allocation without touching memory
+        path = tmp_path / "huge.txt"
+        path.write_text(text)
+        assert main(["analyze", "--graph", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate 7.11 PiB") and err.count("\n") == 1
 
     def test_graph_id_beyond_int64_is_exit_1(self, synthetic_enzymes_dir, capsys):
         indicator = synthetic_enzymes_dir / "ENZYMES_graph_indicator.txt"

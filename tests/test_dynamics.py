@@ -13,7 +13,6 @@ from oversmooth import (
     fit_decay,
     make_graph,
     propagate,
-    weight_equivalence_check,
 )
 from oversmooth.dynamics import (
     FirstLayerWeights,
@@ -28,6 +27,7 @@ from conftest import (
     dense_operator,
     random_connected_graph,
     ring_with_chords,
+    weight_equivalence_check,
     write_synthetic_enzymes,
 )
 

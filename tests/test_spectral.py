@@ -3,7 +3,6 @@ import pytest
 
 from oversmooth import (
     DomainError,
-    FilterSpec,
     OperatorKind,
     build,
     eigendecompose,
@@ -12,14 +11,16 @@ from oversmooth import (
     superposition,
 )
 from oversmooth.energy import quadratic_form
-from oversmooth.spectral import (
+
+from conftest import (
     energy_direct,
     energy_regular_reduction,
     energy_via_superposition_reference,
     frequency_mass,
+    polynomial_filter,
+    propagation_filter,
+    random_connected_graph,
 )
-
-from conftest import random_connected_graph
 
 
 class TestEigendecompose:
@@ -105,30 +106,10 @@ class TestSuperposition:
             superposition(a, b)
 
 
-class TestFilterSpec:
-    def test_exactly_one_mode_required(self):
-        with pytest.raises(DomainError):
-            FilterSpec(coefficients=(1.0,), propagation_power=2)
-        with pytest.raises(DomainError):
-            FilterSpec()
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(DomainError):
-            FilterSpec.power_of_propagation(-1)
-
-    def test_polynomial_evaluation(self):
-        f = FilterSpec.polynomial([1.0, 0.0, 2.0])  # 1 + 2x^2
-        np.testing.assert_allclose(f.evaluate([0.0, 1.0, 2.0]), [1.0, 3.0, 9.0])
-
-    def test_propagation_power_evaluation(self):
-        f = FilterSpec.power_of_propagation(3)
-        np.testing.assert_allclose(f.evaluate([0.0, 0.5, 2.0]), [1.0, 0.125, -1.0])
-
-
 class TestEnergyExpansion:
     def test_identity_filter_recovers_plain_energy(self, pendant_triangle):
         x = np.random.default_rng(2).standard_normal((4, 3))
-        f = FilterSpec.polynomial([1.0])
+        f = polynomial_filter([1.0])
         delta = build(pendant_triangle, OperatorKind.UNNORMALIZED_LAPLACIAN)
         want = quadratic_form(delta, x)
         assert energy_via_superposition(pendant_triangle, x, f) == pytest.approx(want, rel=1e-10)
@@ -136,14 +117,14 @@ class TestEnergyExpansion:
     def test_regular_reduction_matches(self, k4):
         x = np.random.default_rng(4).standard_normal((4, 2))
         for k in range(4):
-            f = FilterSpec.power_of_propagation(k)
+            f = propagation_filter(k)
             full = energy_via_superposition(k4, x, f)
             reduced = energy_regular_reduction(k4, x, f)
             assert full == pytest.approx(reduced, rel=1e-8, abs=1e-12)
 
     def test_pendant_triangle_power_filter_matches_direct(self, pendant_triangle):
         x = np.random.default_rng(6).standard_normal((4, 3))
-        f = FilterSpec.power_of_propagation(2)
+        f = propagation_filter(2)
         assert energy_via_superposition(pendant_triangle, x, f) == pytest.approx(
             energy_direct(pendant_triangle, x, f), rel=1e-10
         )
@@ -153,7 +134,7 @@ class TestEnergyExpansion:
         for _ in range(5):
             g = random_connected_graph(rng, int(rng.integers(3, 9)))
             x = rng.standard_normal((g.n_nodes, 2))
-            f = FilterSpec.polynomial(rng.standard_normal(int(rng.integers(1, 4))))
+            f = polynomial_filter(rng.standard_normal(int(rng.integers(1, 4))))
             fast = energy_via_superposition(g, x, f)
             slow = energy_via_superposition_reference(g, x, f)
             assert fast == pytest.approx(slow, rel=1e-9, abs=1e-9)
@@ -162,11 +143,11 @@ class TestEnergyExpansion:
         rng = np.random.default_rng(14)
         g = random_connected_graph(rng, 13, 0.4)
         with pytest.raises(DomainError):
-            energy_via_superposition_reference(g, np.ones(13), FilterSpec.polynomial([1.0]))
+            energy_via_superposition_reference(g, np.ones(13), polynomial_filter([1.0]))
 
     def test_reduction_rejects_nonregular(self, pendant_triangle):
         with pytest.raises(DomainError):
-            energy_regular_reduction(pendant_triangle, np.ones(4), FilterSpec.polynomial([1.0]))
+            energy_regular_reduction(pendant_triangle, np.ones(4), polynomial_filter([1.0]))
 
     def test_frequency_scattering_on_nonregular_graph(self, pendant_triangle):
         # A pure eigenvector of one Laplacian spreads its energy over several
