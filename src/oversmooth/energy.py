@@ -39,7 +39,7 @@ def as_signal(x, n_nodes: int) -> np.ndarray:
         x = x[:, None]
     if x.ndim != 2 or x.shape[0] != n_nodes:
         raise DomainError(f"signal must have {n_nodes} rows, got shape {x.shape}")
-    if x.size and not np.all(np.isfinite(x)):
+    if x.size and not np.isfinite(x).all():
         raise DomainError("signal contains non-finite entries")
     return x
 
