@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (
+    ENERGY_FIELDS,
     NUMERICAL_FLOOR,
     FirstLayerWeights,
     PerLayerWeights,
@@ -215,7 +216,7 @@ def _run_simulation(g, features, args, selector: str, dataset_id: str):
 def _simulation_outputs(trace, manifest, out_dir: Path) -> dict:
     verdict = classify_regime(trace)
     fits = {}
-    for metric in (f"e_{kind.value}" for kind in LAPLACIAN_KINDS):
+    for metric in ENERGY_FIELDS.values():
         series = [(rec.k, getattr(rec, metric)) for rec in trace.records]
         try:
             fits[metric] = fit_decay(series, NUMERICAL_FLOOR)

@@ -62,7 +62,7 @@ class PropagationConfig:
 
 @dataclass(frozen=True)
 class LayerRecord:
-    # each energy field is named e_<value> of its Laplacian's OperatorKind
+    # each energy field is named e_<value> of its Laplacian's OperatorKind (ENERGY_FIELDS)
     k: int
     fro_norm: float
     e_delta: float
@@ -70,6 +70,9 @@ class LayerRecord:
     e_delta_tilde_norm: float
     ratio: float | None
     kernel_alignment: float | None
+
+
+ENERGY_FIELDS = {kind: f"e_{kind.value}" for kind in LAPLACIAN_KINDS}
 
 
 @dataclass(frozen=True)
@@ -228,7 +231,7 @@ def fit_decay(series, floor: float = NUMERICAL_FLOOR) -> DecayFit:
 
 def compatible_energy(trace: LayerTrace, rec: LayerRecord) -> float:
     """The energy induced by the Laplacian paired with the trace's propagation operator."""
-    return getattr(rec, f"e_{paired_laplacian(trace.operator_kind).value}")
+    return getattr(rec, ENERGY_FIELDS[paired_laplacian(trace.operator_kind)])
 
 
 def classify_regime(

@@ -93,7 +93,7 @@ def normalize_conjugation(op: GraphOperator, g: Graph) -> GraphOperator:
     """The inducing operator D^{-1/2} M D^{-1/2}: entry (i, j) of M scaled by s_i s_j."""
     d = g.degrees
     if op.n != g.n_nodes:
-        raise DomainError("descriptor size does not match the graph")
+        raise DomainError("operator size does not match the graph")
     if d.min() < 1:
         raise DomainError("conjugation needs minimum degree >= 1")
     s = 1.0 / np.sqrt(d)
