@@ -48,7 +48,6 @@ from .dynamics import (  # noqa: F401
     LayerTrace,
     PerLayerWeights,
     PropagationConfig,
-    RegimeThresholds,
     RegimeVerdict,
     classify_regime,
     energy_ratio_trace,

@@ -19,16 +19,17 @@ import numpy as np
 from . import __version__
 from .dynamics import (
     ENERGY_FIELDS,
-    NUMERICAL_FLOOR,
     FirstLayerWeights,
     PerLayerWeights,
     PropagationConfig,
+    RegimeVerdict,
     classify_regime,
     energy_ratio_trace,
     fit_decay,
     propagate,
 )
 from .energy import (
+    AXIOM2_TOL,
     DEFAULT_AXIOM_TOL,
     DEFAULT_SEED,
     axiom1_check,
@@ -109,7 +110,7 @@ def resolve_graph(
         raise FileNotFoundError(f"selector {selector!r} needs --data-dir or ${DATA_DIR_ENV}")
     if selector.startswith("enzymes:"):
         idx = int(selector.split(":", 1)[1])
-        files = find_tu_files(data_dir, "ENZYMES")
+        files = find_tu_files(data_dir)
         attr_text = (
             files["attributes"].read_text() if "attributes" in files else None
         )
@@ -166,6 +167,14 @@ def _write(path: Path, text: str):
     path.write_text(text)
 
 
+def _write_or_print(path: str | None, text: str):
+    """Write text to the file at path when one is given, else to stdout."""
+    if path:
+        _write(Path(path), text)
+    else:
+        sys.stdout.write(text)
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -213,33 +222,26 @@ def _run_simulation(g, features, args, selector: str, dataset_id: str):
     return trace, manifest
 
 
-def _simulation_outputs(trace, manifest, out_dir: Path) -> dict:
+def _simulation_outputs(trace, manifest, out_dir: Path) -> RegimeVerdict:
     verdict = classify_regime(trace)
     fits = {}
     for metric in ENERGY_FIELDS.values():
         series = [(rec.k, getattr(rec, metric)) for rec in trace.records]
         try:
-            fits[metric] = fit_decay(series, NUMERICAL_FLOOR)
-        except (InsufficientDataError, DomainError):
+            fits[metric] = fit_decay(series)
+        except InsufficientDataError:
             pass
     _write(out_dir / "trace.csv", export_trace_csv(trace, manifest))
     _write(out_dir / "report.json", export_report_json(verdict, fits, manifest))
-    return {
-        "over_smoothing": verdict.over_smoothing,
-        "over_shrinking": verdict.over_shrinking,
-        "notes": verdict.notes,
-    }
+    return verdict
 
 
 def cmd_simulate(args) -> int:
     g, features, dataset_id = resolve_graph(args.graph, _resolve_data_dir(args.data_dir))
     trace, manifest = _run_simulation(g, features, args, args.graph, dataset_id)
-    summary = _simulation_outputs(trace, manifest, Path(args.out))
-    print(
-        f"over_smoothing={summary['over_smoothing']} "
-        f"over_shrinking={summary['over_shrinking']}"
-    )
-    print(summary["notes"])
+    verdict = _simulation_outputs(trace, manifest, Path(args.out))
+    print(f"over_smoothing={verdict.over_smoothing} over_shrinking={verdict.over_shrinking}")
+    print(verdict.notes)
     print(f"wrote {args.out}/trace.csv and {args.out}/report.json")
     return 0
 
@@ -250,15 +252,15 @@ def cmd_axioms(args) -> int:
     base = label.removeprefix("conjugate:")
     op = descriptor_for(g, OPERATOR_ALIASES[base])
     if base != label:
-        op = normalize_conjugation(op, g)
-    a1 = axiom1_check(op, g, trials=args.trials, tol=args.tol, seed=args.seed)
+        op = normalize_conjugation(op)
+    a1 = axiom1_check(op, trials=args.trials, tol=args.tol, seed=args.seed)
     a2 = axiom2_check(op, trials=args.trials, seed=args.seed)
     manifest = _manifest(
         dataset_id, args.graph, {"operator": label, "trials": args.trials}, args.seed
     )
     report = export_axiom_report_json(
         label, a1, a2, args.seed,
-        {"axiom1_tol": args.tol, "axiom2_tol": 1e-9},
+        {"axiom1_tol": args.tol, "axiom2_tol": AXIOM2_TOL},
         manifest,
     )
     if args.out:
@@ -298,19 +300,11 @@ def cmd_spectra(args) -> int:
     g, _, dataset_id = resolve_graph(args.graph, _resolve_data_dir(args.data_dir))
     dec = eigendecompose(build(g, OPERATOR_ALIASES[args.operator]))
     manifest = _manifest(dataset_id, args.graph, {"operator": args.operator}, args.seed)
-    text = export_spectra_csv(dec, manifest)
-    if args.out:
-        _write(Path(args.out), text)
-    else:
-        sys.stdout.write(text)
+    _write_or_print(args.out, export_spectra_csv(dec, manifest))
     if args.superpose:
         other = eigendecompose(build(g, OPERATOR_ALIASES[args.superpose]))
         sup = superposition(dec, other)
-        sup_text = export_superposition_csv(sup, manifest)
-        if args.superpose_out:
-            _write(Path(args.superpose_out), sup_text)
-        else:
-            sys.stdout.write(sup_text)
+        _write_or_print(args.superpose_out, export_superposition_csv(sup, manifest))
     return 0
 
 
@@ -318,11 +312,7 @@ def cmd_export_operator(args) -> int:
     g, _, dataset_id = resolve_graph(args.graph, _resolve_data_dir(args.data_dir))
     op = build(g, OPERATOR_ALIASES[args.operator])
     manifest = _manifest(dataset_id, args.graph, {"operator": args.operator}, args.seed)
-    text = export_matrix_csv(op.matrix, manifest)
-    if args.out:
-        _write(Path(args.out), text)
-    else:
-        sys.stdout.write(text)
+    _write_or_print(args.out, export_matrix_csv(op.matrix, manifest))
     return 0
 
 
@@ -339,9 +329,9 @@ def cmd_repro(args) -> int:
     )
     trace, manifest = _run_simulation(g, features, run, selector, dataset_id)
     if output == "simulate":
-        summary = _simulation_outputs(trace, manifest, out_dir)
-        print(f"{args.experiment}: over_smoothing={summary['over_smoothing']} "
-              f"over_shrinking={summary['over_shrinking']}")
+        verdict = _simulation_outputs(trace, manifest, out_dir)
+        print(f"{args.experiment}: over_smoothing={verdict.over_smoothing} "
+              f"over_shrinking={verdict.over_shrinking}")
     else:
         ratio = energy_ratio_trace(trace)
         _write(out_dir / "trace.csv", export_trace_csv(trace, manifest))
@@ -471,6 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "spectra" and args.superpose_out is not None and args.superpose is None:
+        parser.error("spectra: --superpose-out needs --superpose")
     try:
         return args.func(args)
     except _DATA_ERRORS as exc:

@@ -32,6 +32,12 @@ NUMERICAL_FLOOR = 1e-290
 # Energies below this fraction of their initial value are dominated by
 # cancellation noise (eps * ||X||_F^2); ratios computed there are meaningless.
 RATIO_CONDITIONING_FLOOR = 1e-5
+# classify_regime: the compatible energy collapses below ENERGY_FLOOR * e0, the
+# Frobenius norm is kept above NORM_FLOOR * ||X_0||_F, and the signal aligns
+# with the propagation's fixed direction to ALIGNMENT_TARGET.
+ENERGY_FLOOR = 1e-6
+NORM_FLOOR = 1e-3
+ALIGNMENT_TARGET = 0.999
 
 
 @dataclass(frozen=True)
@@ -89,13 +95,6 @@ class DecayFit:
     c2: float
     r_squared: float
     floor_layer: int | None = None
-
-
-@dataclass(frozen=True)
-class RegimeThresholds:
-    energy_floor: float = 1e-6
-    norm_floor: float = 1e-3
-    alignment_target: float = 0.999
 
 
 @dataclass(frozen=True)
@@ -194,17 +193,17 @@ def propagate(g: Graph, x0, cfg: PropagationConfig) -> tuple[np.ndarray, LayerTr
     return x, trace
 
 
-def fit_decay(series, floor: float = NUMERICAL_FLOOR) -> DecayFit:
+def fit_decay(series) -> DecayFit:
     """Least-squares exponential fit value(k) ~ c1 * exp(-c2 * k) in log space.
 
-    Only layers before the first at-or-below-floor value participate in the
-    fit; that layer index is reported as floor_layer.
+    Only layers before the first value at or below ``NUMERICAL_FLOOR``
+    participate in the fit; that layer index is reported as floor_layer.
     """
     series = [(int(k), float(v)) for k, v in series]
     floor_layer = None
     usable = []
     for k, v in series:
-        if v <= floor:
+        if v <= NUMERICAL_FLOOR:
             floor_layer = k
             break
         usable.append((k, v))
@@ -214,8 +213,6 @@ def fit_decay(series, floor: float = NUMERICAL_FLOOR) -> DecayFit:
         )
     ks = np.array([k for k, _ in usable], dtype=float)
     vs = np.array([v for _, v in usable], dtype=float)
-    if np.any(vs <= 0):
-        raise DomainError("non-positive values above the floor cannot be log-fitted")
     logs = np.log(vs)
     slope, intercept = np.polyfit(ks, logs, 1)
     pred = slope * ks + intercept
@@ -234,9 +231,7 @@ def compatible_energy(trace: LayerTrace, rec: LayerRecord) -> float:
     return getattr(rec, ENERGY_FIELDS[paired_laplacian(trace.operator_kind)])
 
 
-def classify_regime(
-    trace: LayerTrace, thresholds: RegimeThresholds = RegimeThresholds()
-) -> RegimeVerdict:
+def classify_regime(trace: LayerTrace) -> RegimeVerdict:
     """Decide over-smoothing vs over-shrinking from a layer trace.
 
     Over-smoothing: the compatible energy collapses (relative to its initial
@@ -261,7 +256,7 @@ def classify_regime(
     noise = 1e-12 * first.fro_norm**2
     if e0 <= noise:
         e0 = 0.0
-    energy_collapsed = e0 == 0.0 or e_last <= thresholds.energy_floor * e0
+    energy_collapsed = e0 == 0.0 or e_last <= ENERGY_FLOOR * e0
     if e0 == 0.0:
         notes.append("compatible energy is zero from layer 0 (input already aligned)")
     elif energy_collapsed:
@@ -269,7 +264,7 @@ def classify_regime(
             f"compatible energy fell to {e_last / e0:.3e} of its initial value"
         )
 
-    norm_kept = last.fro_norm > thresholds.norm_floor * first.fro_norm
+    norm_kept = last.fro_norm > NORM_FLOOR * first.fro_norm
     over_shrinking = not norm_kept
     if over_shrinking:
         notes.append(
@@ -279,9 +274,7 @@ def classify_regime(
     else:
         notes.append("Frobenius norm stayed bounded away from zero")
 
-    aligned = last.kernel_alignment is not None and (
-        last.kernel_alignment >= thresholds.alignment_target
-    )
+    aligned = last.kernel_alignment is not None and last.kernel_alignment >= ALIGNMENT_TARGET
     if aligned:
         notes.append(f"kernel alignment reached {last.kernel_alignment:.6f}")
 
@@ -291,23 +284,20 @@ def classify_regime(
     )
 
 
-def energy_ratio_trace(
-    trace: LayerTrace,
-    abs_floor: float = NUMERICAL_FLOOR,
-    rel_floor: float = RATIO_CONDITIONING_FLOOR,
-) -> RatioTrace:
+def energy_ratio_trace(trace: LayerTrace) -> RatioTrace:
     """Per-layer e_delta / e_delta_norm, cut where the ratio is ill-conditioned.
 
-    A layer is kept only while both energies exceed the underflow floor and a
-    conditioning floor relative to their initial values. The first layer that
-    fails either floor is the cut layer: from it on the energies are dominated
-    by floating-point noise and every later ratio is omitted.
+    A layer is kept only while both energies exceed the underflow floor
+    ``NUMERICAL_FLOOR`` and ``RATIO_CONDITIONING_FLOOR`` times their initial
+    values. The first layer that fails either floor is the cut layer: from it
+    on the energies are dominated by floating-point noise and every later ratio
+    is omitted.
     """
     if not trace.records:
         raise DomainError("empty trace")
     first = trace.records[0]
-    thr_d = max(abs_floor, rel_floor * first.e_delta)
-    thr_n = max(abs_floor, rel_floor * first.e_delta_norm)
+    thr_d = max(NUMERICAL_FLOOR, RATIO_CONDITIONING_FLOOR * first.e_delta)
+    thr_n = max(NUMERICAL_FLOOR, RATIO_CONDITIONING_FLOOR * first.e_delta_norm)
     points = []
     for rec in trace.records:
         if not (rec.e_delta > thr_d and rec.e_delta_norm > thr_n):

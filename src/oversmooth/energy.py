@@ -8,6 +8,9 @@ Two conventions coexist and are kept explicit:
 * ``measure`` is the seminorm sqrt(tr(X^T M X)) induced by an operator M, the
   form whose node-similarity axioms ``axiom1_check`` and ``axiom2_check`` test.
   Its square is the plain quadratic form used by the spectral module.
+
+Every operator carries the graph it was built on (``GraphOperator.graph_ref``);
+the degree conjugation and the axiom 1 check read the degrees from it.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .operators import KINDS, LAPLACIAN_KINDS, GraphOperator, OperatorKind, buil
 
 DEFAULT_SEED = 789001361
 DEFAULT_AXIOM_TOL = 1e-8  # absolute, on unit-Frobenius-norm signals
+AXIOM2_TOL = 1e-9  # absolute slack of mu(X + Y) <= mu(X) + mu(Y)
 _PROBE_WIDTH = 3  # columns of the signals the axiom checks draw
 
 
@@ -89,17 +93,18 @@ def descriptor_for(g: Graph, kind: OperatorKind) -> GraphOperator:
     return build(g, kind)
 
 
-def normalize_conjugation(op: GraphOperator, g: Graph) -> GraphOperator:
-    """The inducing operator D^{-1/2} M D^{-1/2}: entry (i, j) of M scaled by s_i s_j."""
-    d = g.degrees
-    if op.n != g.n_nodes:
-        raise DomainError("operator size does not match the graph")
+def normalize_conjugation(op: GraphOperator) -> GraphOperator:
+    """The inducing operator D^{-1/2} M D^{-1/2}: entry (i, j) of M scaled by s_i s_j.
+
+    D holds the degrees of the operator's graph.
+    """
+    d = op.graph_ref.degrees
     if d.min() < 1:
         raise DomainError("conjugation needs minimum degree >= 1")
     s = 1.0 / np.sqrt(d)
     return GraphOperator(
         kind=OperatorKind.CUSTOM, indptr=op.indptr, indices=op.indices,
-        data=s[op.rows()] * op.data * s[op.indices], graph_ref=g,
+        data=s[op.rows()] * op.data * s[op.indices], graph_ref=op.graph_ref,
     )
 
 
@@ -111,7 +116,6 @@ def _is_constant_rows(x: np.ndarray, tol: float = 1e-12) -> bool:
 
 def axiom1_check(
     op: GraphOperator,
-    g: Graph,
     trials: int = 20,
     tol: float = DEFAULT_AXIOM_TOL,
     seed: int = DEFAULT_SEED,
@@ -123,8 +127,8 @@ def axiom1_check(
     direction evaluates the degree-weighted candidate D^{1/2} 1 and random
     non-constant unit-Frobenius signals. D^{1/2} 1 spans the kernel of
     Delta_norm and of the conjugated D^{-1/2} Delta D^{-1/2}, and is
-    non-constant on a non-regular graph. Returns the first violating signal as
-    witness.
+    non-constant on a non-regular graph; D holds the degrees of the operator's
+    graph. Returns the first violating signal as witness.
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")
@@ -145,7 +149,7 @@ def axiom1_check(
         )
 
     # (<=) non-constant signals must give a strictly positive value.
-    w = KINDS[OperatorKind.NORMALIZED_LAPLACIAN].kernel_direction(g)[:, None]
+    w = KINDS[OperatorKind.NORMALIZED_LAPLACIAN].kernel_direction(op.graph_ref)[:, None]
     if not _is_constant_rows(w):
         unit = w / np.linalg.norm(w)
         if squared(unit) <= tol:
@@ -165,19 +169,14 @@ def axiom1_check(
     return AxiomCheckResult(holds=True)
 
 
-def axiom2_check(
-    op: GraphOperator,
-    trials: int = 100,
-    seed: int = DEFAULT_SEED,
-    tol: float = 1e-9,
-) -> bool:
-    """Numerically check subadditivity mu(X+Y) <= mu(X) + mu(Y)."""
+def axiom2_check(op: GraphOperator, trials: int = 100, seed: int = DEFAULT_SEED) -> bool:
+    """Numerically check subadditivity mu(X+Y) <= mu(X) + mu(Y) + AXIOM2_TOL."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         x = rng.standard_normal((op.n, _PROBE_WIDTH))
         y = rng.standard_normal((op.n, _PROBE_WIDTH))
-        if measure(op, x + y) > measure(op, x) + measure(op, y) + tol:
+        if measure(op, x + y) > measure(op, x) + measure(op, y) + AXIOM2_TOL:
             return False
     return True

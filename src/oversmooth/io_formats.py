@@ -8,7 +8,7 @@ every artifact stays a single plot-friendly file.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,13 +37,10 @@ class RunManifest:
     timestamp: str  # ISO-8601
 
     def preamble_lines(self) -> list[str]:
+        """One '# key: value' comment per ``as_dict`` entry, the config as sorted JSON."""
         return [
-            f"# dataset_id: {self.dataset_id}",
-            f"# graph_selector: {self.graph_selector}",
-            f"# config: {json.dumps(self.config_echo, sort_keys=True)}",
-            f"# seed: {self.seed}",
-            f"# tool_version: {self.tool_version}",
-            f"# timestamp: {self.timestamp}",
+            f"# {key}: {json.dumps(value, sort_keys=True) if key == 'config' else value}"
+            for key, value in self.as_dict().items()
         ]
 
     def as_dict(self) -> dict:
@@ -57,8 +54,8 @@ class RunManifest:
         }
 
 
-def export_trace_csv(trace: LayerTrace, manifest: RunManifest | None = None) -> str:
-    lines = list(manifest.preamble_lines()) if manifest else []
+def export_trace_csv(trace: LayerTrace, manifest: RunManifest) -> str:
+    lines = manifest.preamble_lines()
     lines.append(f"# operator_kind: {trace.operator_kind.value}")
     lines.append(f"# track_volume_constant: {str(trace.track_volume_constant).lower()}")
     for note in trace.notes:
@@ -125,30 +122,14 @@ def parse_trace_csv(text: str) -> LayerTrace:
     )
 
 
-def _fit_dict(fit: DecayFit) -> dict:
-    return {
-        "c1": fit.c1,
-        "c2": fit.c2,
-        "r_squared": fit.r_squared,
-        "floor_layer": fit.floor_layer,
-    }
-
-
 def export_report_json(
-    verdict: RegimeVerdict,
-    fits: dict[str, DecayFit],
-    manifest: RunManifest | None = None,
+    verdict: RegimeVerdict, fits: dict[str, DecayFit], manifest: RunManifest
 ) -> str:
     doc = {
-        "verdict": {
-            "over_smoothing": verdict.over_smoothing,
-            "over_shrinking": verdict.over_shrinking,
-            "notes": verdict.notes,
-        },
-        "fits": {name: _fit_dict(fit) for name, fit in sorted(fits.items())},
+        "verdict": asdict(verdict),
+        "fits": {name: asdict(fit) for name, fit in fits.items()},
+        "manifest": manifest.as_dict(),
     }
-    if manifest is not None:
-        doc["manifest"] = manifest.as_dict()
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -158,7 +139,7 @@ def export_axiom_report_json(
     axiom2: bool,
     seed: int,
     tolerances: dict[str, float],
-    manifest: RunManifest | None = None,
+    manifest: RunManifest,
 ) -> str:
     doc = {
         "operator_kind": operator_label,
@@ -168,14 +149,13 @@ def export_axiom_report_json(
         "axiom1_note": axiom1.note,
         "seed": seed,
         "tolerances": tolerances,
+        "manifest": manifest.as_dict(),
     }
-    if manifest is not None:
-        doc["manifest"] = manifest.as_dict()
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def export_ratio_csv(ratio: RatioTrace, manifest: RunManifest | None = None) -> str:
-    lines = list(manifest.preamble_lines()) if manifest else []
+def export_ratio_csv(ratio: RatioTrace, manifest: RunManifest) -> str:
+    lines = manifest.preamble_lines()
     if ratio.cut_layer is not None:
         lines.append(f"# cut_layer: {ratio.cut_layer}")
     lines.append("k,ratio")
@@ -184,8 +164,8 @@ def export_ratio_csv(ratio: RatioTrace, manifest: RunManifest | None = None) -> 
     return "\n".join(lines) + "\n"
 
 
-def export_spectra_csv(dec: SpectralDecomposition, manifest: RunManifest | None = None) -> str:
-    lines = list(manifest.preamble_lines()) if manifest else []
+def export_spectra_csv(dec: SpectralDecomposition, manifest: RunManifest) -> str:
+    lines = manifest.preamble_lines()
     lines.append(f"# operator_kind: {dec.operator_kind.value}")
     lines.append("index,eigenvalue")
     for idx, lam in enumerate(dec.eigenvalues):
@@ -200,16 +180,14 @@ def _matrix_rows(matrix: np.ndarray) -> list[str]:
     return [fmt % tuple(row.tolist()) for row in matrix]
 
 
-def export_matrix_csv(matrix: np.ndarray, manifest: RunManifest | None = None) -> str:
-    lines = list(manifest.preamble_lines()) if manifest else []
+def export_matrix_csv(matrix: np.ndarray, manifest: RunManifest) -> str:
+    lines = manifest.preamble_lines()
     lines.extend(_matrix_rows(matrix))
     return "\n".join(lines) + "\n"
 
 
-def export_superposition_csv(
-    sup: SuperpositionMatrix, manifest: RunManifest | None = None
-) -> str:
-    lines = list(manifest.preamble_lines()) if manifest else []
+def export_superposition_csv(sup: SuperpositionMatrix, manifest: RunManifest) -> str:
+    lines = manifest.preamble_lines()
     lines.append(f"# row_basis_kind: {sup.row_basis_kind.value}")
     lines.append(f"# col_basis_kind: {sup.col_basis_kind.value}")
     lines.extend(_matrix_rows(sup.entries))
@@ -238,17 +216,17 @@ def _find_files(
     return found
 
 
-def find_tu_files(data_dir: str | Path, name: str = "ENZYMES") -> dict[str, Path]:
-    """Locate <name>_A.txt / <name>_graph_indicator.txt / <name>_node_attributes.txt.
+def find_tu_files(data_dir: str | Path) -> dict[str, Path]:
+    """Locate ENZYMES_A.txt / ENZYMES_graph_indicator.txt / ENZYMES_node_attributes.txt.
 
-    Looks in data_dir and in a <name>/ subdirectory. The attributes file is
+    Looks in data_dir and in an ENZYMES/ subdirectory. The attributes file is
     optional; the other two are required.
     """
-    required = {
-        "adjacency": f"{name}_A.txt",
-        "indicator": f"{name}_graph_indicator.txt",
-    }
-    return _find_files(data_dir, name, required, {"attributes": f"{name}_node_attributes.txt"})
+    return _find_files(
+        data_dir, "ENZYMES",
+        {"adjacency": "ENZYMES_A.txt", "indicator": "ENZYMES_graph_indicator.txt"},
+        {"attributes": "ENZYMES_node_attributes.txt"},
+    )
 
 
 def find_cora_files(data_dir: str | Path) -> dict[str, Path]:

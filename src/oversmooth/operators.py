@@ -11,7 +11,7 @@ from .errors import DomainError
 from .graph_core import Graph, connected_components
 
 SYMMETRY_TOL = 1e-12
-DEFAULT_COMMUTATION_TOL = 1e-10  # relative, double precision with O(n) accumulation
+COMMUTATION_TOL = 1e-10  # relative, double precision with O(n) accumulation
 
 
 class OperatorKind(Enum):
@@ -183,17 +183,15 @@ def commutator(p: GraphOperator, q: GraphOperator) -> np.ndarray:
     return pm @ qm - qm @ pm
 
 
-def commutation(
-    p: GraphOperator, q: GraphOperator, tol: float = DEFAULT_COMMUTATION_TOL
-) -> tuple[bool, float]:
+def commutation(p: GraphOperator, q: GraphOperator) -> tuple[bool, float]:
     """(commutes, ||PQ - QP||_F) from one commutator.
 
-    The pair commutes iff ||PQ - QP||_F <= tol * ||P||_F * ||Q||_F; the
+    The pair commutes iff ||PQ - QP||_F <= COMMUTATION_TOL * ||P||_F * ||Q||_F; the
     operators' norms are read from their stored entries.
     """
     norm = float(np.linalg.norm(commutator(p, q)))
     scale = float(np.linalg.norm(p.data) * np.linalg.norm(q.data))
-    return norm <= tol * scale, norm
+    return norm <= COMMUTATION_TOL * scale, norm
 
 
 def kernel_generator(g: Graph, kind: OperatorKind) -> np.ndarray:

@@ -362,6 +362,8 @@ class TestUsageErrors:
         ("axioms", "--features", "3"),
         ("spectra", "--features", "3"),
         ("export-operator", "--features", "3"),
+        # --superpose-out names the file of a superposition only --superpose asks for
+        ("spectra", "--superpose-out", "x.csv"),
     ])
     def test_invalid_value_is_exit_2(self, command, flag, value, k4_edgelist, tmp_path, capsys):
         # analyze takes no --out, which would be a usage error of its own

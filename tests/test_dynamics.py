@@ -209,18 +209,13 @@ class TestFitDecay:
     def test_floor_cuts_the_fit(self):
         series = [(k, 2.0 * math.exp(-0.5 * k)) for k in range(10)]
         series += [(10, 0.0), (11, 0.0)]
-        fit = fit_decay(series, floor=1e-290)
+        fit = fit_decay(series)
         assert fit.floor_layer == 10
         assert fit.c2 == pytest.approx(0.5, abs=1e-12)
 
     def test_insufficient_points(self):
         with pytest.raises(InsufficientDataError):
             fit_decay([(0, 1.0), (1, 0.5), (2, 0.0), (3, 0.0)])
-
-    def test_negative_values_rejected(self):
-        # with a negative floor, negative values survive to the log stage
-        with pytest.raises(DomainError):
-            fit_decay([(0, 1.0), (1, -0.5), (2, 0.25)], floor=-1.0)
 
     def test_real_run_decay_matches_second_eigenvalue(self, pendant_triangle):
         from oversmooth import build, eigendecompose

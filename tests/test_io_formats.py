@@ -35,16 +35,19 @@ from oversmooth.io_formats import (
 )
 
 
+MANIFEST = RunManifest(
+    dataset_id="toy",
+    graph_selector="k4",
+    config_echo={"layers": 50},
+    seed=123,
+    tool_version="0.1.0",
+    timestamp="2026-01-01T00:00:00+00:00",
+)
+
+
 @pytest.fixture
 def manifest():
-    return RunManifest(
-        dataset_id="toy",
-        graph_selector="k4",
-        config_echo={"layers": 50},
-        seed=123,
-        tool_version="0.1.0",
-        timestamp="2026-01-01T00:00:00+00:00",
-    )
+    return MANIFEST
 
 
 @pytest.fixture
@@ -55,14 +58,14 @@ def k4_trace(k4):
 
 
 class TestTraceCsv:
-    def test_row_counts(self, k4, k4_trace):
-        text = export_trace_csv(k4_trace)
+    def test_row_counts(self, k4, k4_trace, manifest):
+        text = export_trace_csv(k4_trace, manifest)
         data_rows = [l for l in text.splitlines() if l and not l.startswith("#")]
         assert len(data_rows) == 52  # header + 51 layers
 
         x0 = np.ones((4, 2))
         _, single = propagate(k4, x0, PropagationConfig(layers=1))
-        text = export_trace_csv(single)
+        text = export_trace_csv(single, manifest)
         data_rows = [l for l in text.splitlines() if l and not l.startswith("#")]
         assert len(data_rows) == 3  # header + k=0 + k=1
 
@@ -77,22 +80,28 @@ class TestTraceCsv:
 
     def test_manifest_preamble_present(self, k4_trace, manifest):
         text = export_trace_csv(k4_trace, manifest)
-        assert "# dataset_id: toy" in text
-        assert "# seed: 123" in text
+        assert text.splitlines()[:6] == [
+            "# dataset_id: toy",
+            "# graph_selector: k4",
+            '# config: {"layers": 50}',
+            "# seed: 123",
+            "# tool_version: 0.1.0",
+            "# timestamp: 2026-01-01T00:00:00+00:00",
+        ]
 
-    def test_notes_round_trip(self, k2):
+    def test_notes_round_trip(self, k2, manifest):
         _, trace = propagate(k2, np.ones((2, 1)), PropagationConfig(layers=1))
         assert trace.notes
-        back = parse_trace_csv(export_trace_csv(trace))
+        back = parse_trace_csv(export_trace_csv(trace, manifest))
         assert back.notes == trace.notes
 
     def test_bad_header_rejected(self):
         with pytest.raises(GraphFormatError):
             parse_trace_csv("# operator_kind: a_norm\nwrong,header\n")
 
-    def test_missing_operator_kind_rejected(self, k4_trace):
+    def test_missing_operator_kind_rejected(self, k4_trace, manifest):
         text = "\n".join(
-            l for l in export_trace_csv(k4_trace).splitlines()
+            l for l in export_trace_csv(k4_trace, manifest).splitlines()
             if not l.startswith("# operator_kind")
         )
         with pytest.raises(GraphFormatError):
@@ -111,7 +120,7 @@ class TestTraceCsv:
         )
         trace = LayerTrace(data.draw(st.sampled_from(list(OperatorKind))), records,
                            data.draw(st.booleans()))
-        back = parse_trace_csv(export_trace_csv(trace))
+        back = parse_trace_csv(export_trace_csv(trace, MANIFEST))
         assert (back.operator_kind, back.track_volume_constant) == (
             trace.operator_kind, trace.track_volume_constant)
         assert len(back.records) == len(records)
@@ -137,18 +146,19 @@ class TestReportJson:
         assert doc["fits"]["e_delta_norm"]["c2"] == fit.c2
         assert doc["manifest"]["dataset_id"] == "toy"
 
-    def test_false_flags_serialized_explicitly(self, k4):
+    def test_false_flags_serialized_explicitly(self, k4, manifest):
         _, trace = propagate(k4, np.zeros((4, 2)), PropagationConfig(layers=1))
-        doc = json.loads(export_report_json(classify_regime(trace), {}))
+        doc = json.loads(export_report_json(classify_regime(trace), {}, manifest))
         assert doc["verdict"]["over_smoothing"] is False
         assert doc["verdict"]["over_shrinking"] is False
 
 
 class TestAxiomReportJson:
-    def test_fields(self):
+    def test_fields(self, manifest):
         result = AxiomCheckResult(holds=False, witness=np.ones((2, 1)), note="constant")
         doc = json.loads(
-            export_axiom_report_json("delta-norm", result, True, 42, {"axiom1_tol": 1e-8})
+            export_axiom_report_json("delta-norm", result, True, 42, {"axiom1_tol": 1e-8},
+                                     manifest)
         )
         assert doc["operator_kind"] == "delta-norm"
         assert doc["holds_axiom1"] is False
@@ -158,46 +168,48 @@ class TestAxiomReportJson:
 
 
 class TestOtherExports:
-    def test_ratio_csv_cut_layer(self, k4):
+    def test_ratio_csv_cut_layer(self, k4, manifest):
         x0 = np.random.default_rng(0).standard_normal((4, 3))
         _, trace = propagate(k4, x0, PropagationConfig(layers=50))
         ratio = energy_ratio_trace(trace)
-        text = export_ratio_csv(ratio)
+        text = export_ratio_csv(ratio, manifest)
         assert f"# cut_layer: {ratio.cut_layer}" in text
         rows = [l for l in text.splitlines() if l and not l.startswith("#")]
         assert rows[0] == "k,ratio"
         assert len(rows) == 1 + len(ratio.points)
 
-    def test_spectra_csv(self, p3):
+    def test_spectra_csv(self, p3, manifest):
         dec = eigendecompose(build(p3, OperatorKind.UNNORMALIZED_LAPLACIAN))
-        text = export_spectra_csv(dec)
+        text = export_spectra_csv(dec, manifest)
         rows = [l for l in text.splitlines() if l and not l.startswith("#")]
         assert rows[0] == "index,eigenvalue"
         values = [float(r.split(",")[1]) for r in rows[1:]]
         np.testing.assert_allclose(values, dec.eigenvalues)
 
-    def test_matrix_csv_round_trip(self, pendant_triangle):
+    def test_matrix_csv_round_trip(self, pendant_triangle, manifest):
         m = build(pendant_triangle, OperatorKind.NORMALIZED_LAPLACIAN).matrix
-        text = export_matrix_csv(m)
-        rows = [[float(c) for c in l.split(",")] for l in text.strip().splitlines()]
+        text = export_matrix_csv(m, manifest)
+        rows = [[float(c) for c in l.split(",")]
+                for l in text.strip().splitlines() if not l.startswith("#")]
         np.testing.assert_array_equal(np.array(rows), m)
 
-    def test_matrix_rows_equal_per_value_formatting(self):
+    def test_matrix_rows_equal_per_value_formatting(self, manifest):
         big, tiny = np.finfo(float).max, np.finfo(float).tiny
         m = np.array([[0.0, -0.0, 5e-324, -5e-324], [big, -big, tiny, 1.0 / 3.0],
                       [np.pi, -1e-300, 1e300, 0.1]])
         want = "".join(",".join(g17(float(v)) for v in row) + "\n" for row in m)
-        assert export_matrix_csv(m) == want
+        preamble = "".join(line + "\n" for line in manifest.preamble_lines())
+        assert export_matrix_csv(m, manifest) == preamble + want
         sup = SuperpositionMatrix(entries=m, row_basis_kind=OperatorKind.NORMALIZED_LAPLACIAN,
                                   col_basis_kind=OperatorKind.UNNORMALIZED_LAPLACIAN)
-        assert export_superposition_csv(sup).endswith("# col_basis_kind: delta\n" + want)
+        assert export_superposition_csv(sup, manifest).endswith("# col_basis_kind: delta\n" + want)
         assert "-0," in want and "4.9406564584124654e-324" in want
 
-    def test_superposition_csv(self, pendant_triangle):
+    def test_superposition_csv(self, pendant_triangle, manifest):
         a = eigendecompose(build(pendant_triangle, OperatorKind.NORMALIZED_LAPLACIAN))
         b = eigendecompose(build(pendant_triangle, OperatorKind.UNNORMALIZED_LAPLACIAN))
         sup = superposition(a, b)
-        text = export_superposition_csv(sup)
+        text = export_superposition_csv(sup, manifest)
         assert "# row_basis_kind: delta_norm" in text
         assert "# col_basis_kind: delta" in text
 
