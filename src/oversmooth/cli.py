@@ -145,7 +145,7 @@ def _manifest(dataset_id: str, selector: str, config: dict, seed: int) -> RunMan
     return RunManifest(
         dataset_id=dataset_id,
         graph_selector=selector,
-        config_echo=config,
+        config=config,
         seed=seed,
         tool_version=__version__,
         timestamp=_now_iso(),
@@ -211,14 +211,14 @@ def _run_simulation(g, features, args, selector: str, dataset_id: str):
         track_volume_constant=args.volume_constant,
     )
     _, trace = propagate(g, x0, cfg)
-    config_echo = {
+    config = {
         "layers": args.layers,
         "operator": args.operator,
         "weights": args.weights,
         "features": x0.shape[1],
         "volume_constant": args.volume_constant,
     }
-    manifest = _manifest(dataset_id, selector, config_echo, args.seed)
+    manifest = _manifest(dataset_id, selector, config, args.seed)
     return trace, manifest
 
 

@@ -11,9 +11,10 @@ the first fault in file order.
 
 from __future__ import annotations
 
+import operator
 import re
 import warnings
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NoReturn
@@ -28,13 +29,32 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# the widest id range m whose sort key (lo - base) * m + (hi - base) fits int64
+_KEY_RANGE = 3_037_000_499
+
+
 def _canonical(pairs: np.ndarray) -> np.ndarray:
-    """(n, 2) pairs as (min, max) rows in sorted order, repeats dropped."""
-    e = np.sort(pairs.reshape(-1, 2), axis=1)
-    e = e[np.lexsort((e[:, 1], e[:, 0]))]
-    first = np.ones(len(e), dtype=bool)
-    first[1:] = np.any(e[1:] != e[:-1], axis=1)
-    return e[first]
+    """(n, 2) int64 pairs as (min, max) rows in sorted order, repeats dropped.
+
+    The rows sort as one int64 key per pair. Over an id range too wide for that
+    key, they sort as two columns.
+    """
+    p = pairs.reshape(-1, 2)
+    if not len(p):
+        return p.copy()
+    lo, hi = np.minimum(p[:, 0], p[:, 1]), np.maximum(p[:, 0], p[:, 1])
+    base = int(lo.min())
+    m = int(hi.max()) - base + 1
+    if m > _KEY_RANGE:
+        e = np.stack((lo, hi), axis=1)[np.lexsort((hi, lo))]
+        first = np.ones(len(e), dtype=bool)
+        first[1:] = np.any(e[1:] != e[:-1], axis=1)
+        return e[first]
+    key = np.sort((lo - base) * m + (hi - base))
+    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+    e = np.empty((len(key), 2), dtype=key.dtype)
+    np.divmod(key, m, out=(e[:, 0], e[:, 1]))
+    return e + base
 
 
 def _component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -279,15 +299,44 @@ def _attribute_faults(lines: list[str], total_nodes: int) -> Iterator[str]:
         yield "inconsistent attribute row widths"
 
 
+@dataclass(frozen=True, eq=False)
+class _TUGraphs(Sequence):
+    """The (Graph, attributes | None) pairs of a checked TU dataset, each built when indexed.
+
+    Graph k holds the nodes ``bounds[k]:bounds[k + 1]`` of the grouped node order,
+    which are also its rows of the grouped attributes ``x``, and the rows
+    ``offsets[k]:offsets[k + 1]`` of the canonical ``edges`` in that order.
+    """
+
+    bounds: np.ndarray
+    edges: np.ndarray
+    offsets: np.ndarray
+    x: np.ndarray | None
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    def __getitem__(self, k: int) -> tuple[Graph, np.ndarray | None]:
+        k = operator.index(k)
+        if not -len(self) <= k < len(self):
+            raise IndexError(f"graph index {k} out of range")
+        k %= len(self)
+        lo, hi = self.bounds[k:k + 2]
+        g = Graph(int(hi - lo), self.edges[self.offsets[k]:self.offsets[k + 1]] - lo)
+        return g, None if self.x is None else self.x[lo:hi]
+
+
 def load_tu_dataset(
     adjacency_text: str,
     indicator_text: str,
     node_attr_text: str | None = None,
-) -> list[tuple[Graph, np.ndarray | None]]:
+) -> Sequence[tuple[Graph, np.ndarray | None]]:
     """Parse the TU collection text format (DS_A, DS_graph_indicator, DS_node_attributes).
 
-    Node ids and graph ids are 1-based in the files; each returned graph is
-    re-based to dense 0-based ids in original node order.
+    Node ids and graph ids are 1-based in the files; each graph is re-based to
+    dense 0-based ids in original node order. The files are checked whole here;
+    the returned read-only sequence builds a graph and its attribute rows only
+    when it is indexed.
     """
     lines = indicator_text.splitlines()
     indicator = _read(lines, np.int64, 1)
@@ -306,13 +355,12 @@ def load_tu_dataset(
         raise GraphFormatError(
             f"graph indicator skips graph id {skipped} (ids must be 1..{n_graphs})"
         )
-    counts = np.bincount(graph_of, minlength=n_graphs)
     # nodes grouped by graph, file order kept inside each graph; pos is a node's
-    # place in that order, so graph k's nodes hold pos starts[k] .. starts[k + 1] - 1
+    # place in that order, so graph k's nodes hold pos bounds[k] .. bounds[k + 1] - 1
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(graph_of, minlength=n_graphs))))
     by_graph = np.argsort(graph_of, kind="stable")
     pos = np.empty(total_nodes, dtype=np.intp)
     pos[by_graph] = np.arange(total_nodes)
-    starts = np.cumsum(counts) - counts
 
     rows = adjacency_text.replace(",", " ").splitlines()
     a = _read(rows, np.int64, 2)
@@ -328,10 +376,8 @@ def load_tu_dataset(
         _raise_first(_adjacency_faults(adjacency_text.splitlines(), graph_of))
     # in pos ids the canonical order is by (graph, local min, local max)
     e = _canonical(pos[a - 1])
-    parts = np.split(e, np.searchsorted(e[:, 0], starts[1:]))
-    graphs = [Graph(int(n), part - start) for n, start, part in zip(counts, starts, parts)]
 
-    attrs: list[np.ndarray | None] = [None] * n_graphs
+    x = None
     if node_attr_text is not None:
         lines = node_attr_text.splitlines()
         x = _read([row for row in map(str.strip, lines) if row], float, delimiter=",")
@@ -339,8 +385,11 @@ def load_tu_dataset(
             _raise_first(_attribute_faults(lines, total_nodes))
         if len(x) != total_nodes:
             raise GraphFormatError(f"attribute row count {len(x)} != node count {total_nodes}")
-        attrs = np.split(x[by_graph], starts[1:])
-    return list(zip(graphs, attrs))
+        x = x[by_graph]
+    # each graph's block already passes every check Graph makes when it is built:
+    # every graph has a node, ids lie in their graph (range and cross-graph checks),
+    # no self-loop, and _canonical gives sorted (min, max) rows without repeats
+    return _TUGraphs(bounds, e, np.searchsorted(e[:, 0], bounds), x)
 
 
 def _content_faults(lines: list[str]) -> Iterator[str]:

@@ -31,27 +31,17 @@ def g17(x: float) -> str:
 class RunManifest:
     dataset_id: str
     graph_selector: str
-    config_echo: dict
+    config: dict
     seed: int
     tool_version: str
     timestamp: str  # ISO-8601
 
     def preamble_lines(self) -> list[str]:
-        """One '# key: value' comment per ``as_dict`` entry, the config as sorted JSON."""
+        """One '# key: value' comment per field, the config as sorted JSON."""
         return [
             f"# {key}: {json.dumps(value, sort_keys=True) if key == 'config' else value}"
-            for key, value in self.as_dict().items()
+            for key, value in asdict(self).items()
         ]
-
-    def as_dict(self) -> dict:
-        return {
-            "dataset_id": self.dataset_id,
-            "graph_selector": self.graph_selector,
-            "config": self.config_echo,
-            "seed": self.seed,
-            "tool_version": self.tool_version,
-            "timestamp": self.timestamp,
-        }
 
 
 def export_trace_csv(trace: LayerTrace, manifest: RunManifest) -> str:
@@ -128,7 +118,7 @@ def export_report_json(
     doc = {
         "verdict": asdict(verdict),
         "fits": {name: asdict(fit) for name, fit in fits.items()},
-        "manifest": manifest.as_dict(),
+        "manifest": asdict(manifest),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -149,7 +139,7 @@ def export_axiom_report_json(
         "axiom1_note": axiom1.note,
         "seed": seed,
         "tolerances": tolerances,
-        "manifest": manifest.as_dict(),
+        "manifest": asdict(manifest),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

@@ -107,11 +107,12 @@ class GraphOperator:
         return m
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """The product for a 1-D or 2-D x in O(nnz * f), each row summed in column order.
+        """The product for a 1-D or 2-D x in O(nnz * f), each row summed by ``np.add.reduceat``.
 
-        The order is fixed, so the result does not depend on the BLAS thread
-        count. ``reduceat`` needs a non-empty row, which the diagonal entry
-        guarantees.
+        ``reduceat`` keeps its own summation order, which need not be a
+        sequential sum in column order. That order is fixed and uses no BLAS,
+        so the result does not depend on the BLAS thread count. ``reduceat``
+        needs a non-empty row, which the diagonal entry guarantees.
         """
         x = np.asarray(x, dtype=float)
         terms = np.take(x if x.ndim == 2 else x[:, None], self.indices, axis=0)

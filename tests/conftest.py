@@ -5,6 +5,7 @@ import pytest
 
 from oversmooth import (
     DomainError,
+    Graph,
     GraphFormatError,
     OperatorKind,
     build,
@@ -19,6 +20,20 @@ from oversmooth.operators import KINDS, LAPLACIAN_KINDS
 from oversmooth.synthetic import random_connected_graph, write_synthetic_enzymes  # noqa: F401
 
 PENDANT_TRIANGLE_TEXT = "n 4\n0 1\n0 2\n0 3\n1 2\n"
+
+
+@pytest.fixture
+def built_graphs(monkeypatch):
+    """The node counts of the Graphs built while the test runs, in build order."""
+    built = []
+    check = Graph.__post_init__
+
+    def counted(g):
+        check(g)
+        built.append(g.n_nodes)
+
+    monkeypatch.setattr(Graph, "__post_init__", counted)
+    return built
 
 
 @pytest.fixture
@@ -171,6 +186,15 @@ def weight_equivalence_check(g, x0, dims, seed, layers=None, tol=1e-9,
 
     scale = max(float(np.linalg.norm(interleaved)), float(np.linalg.norm(collapsed)), 1e-300)
     return float(np.linalg.norm(interleaved - collapsed)) <= tol * scale
+
+def reference_canonical(pairs):
+    """Oracle for graph_core._canonical: (min, max) rows sorted as two columns, repeats dropped."""
+    e = np.sort(pairs.reshape(-1, 2), axis=1)
+    e = e[np.lexsort((e[:, 1], e[:, 0]))]
+    first = np.ones(len(e), dtype=bool)
+    first[1:] = np.any(e[1:] != e[:-1], axis=1)
+    return e[first]
+
 
 def reference_load_edge_list(text):
     """Independent oracle: the edge-list format parsed line by line, int() per token."""

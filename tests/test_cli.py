@@ -411,6 +411,27 @@ class TestUsageErrors:
                      str(synthetic_enzymes_dir)]) == 1
         assert capsys.readouterr().err == "error: indicator line 1: '99999999999999999999'\n"
 
+    @pytest.mark.parametrize("name, fault, message", [
+        ("A", lambda text, n: text + f"{n}, {n}\n", "adjacency line 499: self-loop at node 142"),
+        ("A", lambda text, n: text + f"{n}, 1\n",
+         "adjacency line 499: edge crosses graphs 18 and 0"),
+        ("node_attributes", lambda text, n: text.rstrip("\n").rsplit(",", 1)[0] + "\n",
+         "inconsistent attribute row widths"),
+    ])
+    def test_fault_in_last_graph_is_exit_1(self, name, fault, message, synthetic_enzymes_dir,
+                                           tmp_path, capsys):
+        # graph 0 is fine; the whole files are checked before any graph is built
+        n = len((synthetic_enzymes_dir / "ENZYMES_graph_indicator.txt").read_text().split())
+        path = synthetic_enzymes_dir / f"ENZYMES_{name}.txt"
+        path.write_text(fault(path.read_text(), n))
+        assert main(["simulate", "--graph", "enzymes:0", "--data-dir", str(synthetic_enzymes_dir),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_enzymes_selector_builds_one_graph(self, synthetic_enzymes_dir, built_graphs):
+        g, x, _ = cli.resolve_graph("enzymes:10", str(synthetic_enzymes_dir))
+        assert built_graphs == [4] and g.n_nodes == 4 and x.shape == (4, 6)
+
     def test_missing_file_is_exit_1(self, capsys):
         assert main(["analyze", "--graph", "/nonexistent/edges.txt"]) == 1
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oversmooth import (
@@ -24,7 +24,7 @@ from oversmooth import graph_core
 from oversmooth.graph_core import connected_components
 from oversmooth.synthetic import write_synthetic_enzymes
 
-from conftest import PENDANT_TRIANGLE_TEXT
+from conftest import PENDANT_TRIANGLE_TEXT, reference_canonical
 
 
 class TestLoadEdgeList:
@@ -87,6 +87,30 @@ class TestGraphValidation:
 
     def test_degree_sum_is_twice_edge_count(self, pendant_triangle):
         assert sum(pendant_triangle.degrees) == 2 * pendant_triangle.n_edges
+
+
+# ids near 0, on both sides of the widest range whose one-int64 sort key fits,
+# and at both ends of int64
+CANONICAL_IDS = st.one_of(
+    st.integers(0, 9),
+    st.integers(3_037_000_496, 3_037_000_502),
+    st.integers(2**63 - 6, 2**63 - 1),
+    st.integers(-2**63, -2**63 + 5),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(CANONICAL_IDS, CANONICAL_IDS), max_size=12))
+# the widest key range, and one id past it; a self-loop pair at the top id makes the
+# largest key, m * m - 1
+@example([(3_037_000_498, 3_037_000_498), (0, 3_037_000_497), (1, 0)])
+@example([(3_037_000_499, 3_037_000_499), (0, 1)])
+@example([(2**63 - 1, 2**63 - 2), (-2**63, 2**63 - 1)])
+def test_canonical_matches_two_column_sort(pairs):
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    got, want = graph_core._canonical(pairs), reference_canonical(pairs)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tolist() == want.tolist()
 
 
 @st.composite
@@ -204,6 +228,16 @@ class TestTUDataset:
             tracemalloc.stop()
         assert str(info.value) == "graph indicator skips graph id 2 (ids must be 1..1000000000000)"
         assert peak < 1_000_000
+
+    def test_graphs_are_built_on_access(self, synthetic_enzymes_dir, built_graphs):
+        texts = [(synthetic_enzymes_dir / f"ENZYMES_{name}.txt").read_text()
+                 for name in ("A", "graph_indicator", "node_attributes")]
+        out = load_tu_dataset(*texts)
+        assert built_graphs == []
+        g, x = out[-9]
+        assert built_graphs == [4]
+        g10, x10 = out[10]
+        assert g == g10 and x.tolist() == x10.tolist()
 
     def test_synthetic_dataset_shapes(self, synthetic_enzymes_dir):
         adj = (synthetic_enzymes_dir / "ENZYMES_A.txt").read_text()

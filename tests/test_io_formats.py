@@ -38,7 +38,7 @@ from oversmooth.io_formats import (
 MANIFEST = RunManifest(
     dataset_id="toy",
     graph_selector="k4",
-    config_echo={"layers": 50},
+    config={"layers": 50},
     seed=123,
     tool_version="0.1.0",
     timestamp="2026-01-01T00:00:00+00:00",

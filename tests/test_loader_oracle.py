@@ -154,8 +154,8 @@ def tu_texts(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(tu_texts())
-def test_tu_dataset_matches_reference(texts):
+@given(tu_texts(), st.data())
+def test_tu_dataset_matches_reference(texts, data):
     want = outcome(lambda: reference_load_tu_dataset(texts[1], texts[0], texts[2]))
     got = outcome(lambda: load_tu_dataset(texts[1], texts[0], texts[2]))
     if isinstance(want, str) or isinstance(got, str):
@@ -165,6 +165,14 @@ def test_tu_dataset_matches_reference(texts):
     for (g, x), (g_ref, x_ref) in zip(got, want):
         assert g == g_ref
         assert same_array(x, x_ref)
+    indices = st.integers(-len(want), len(want) - 1)
+    for k in data.draw(st.lists(indices, min_size=1, max_size=4), label="indices"):
+        (g, x), (g_ref, x_ref) = got[k], want[k]
+        assert g == g_ref
+        assert same_array(x, x_ref)
+    for k in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            got[k]
 
 
 @st.composite
