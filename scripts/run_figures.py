@@ -11,9 +11,8 @@ files are missing are skipped with a notice rather than failing the batch.
 import argparse
 import sys
 
+from oversmooth.cli import RECIPES
 from oversmooth.cli import main as cli_main
-
-EXPERIMENTS = ("fig1", "fig2", "fig3", "fig4a", "fig4b", "fig4c")
 
 
 def main(argv=None) -> int:
@@ -23,7 +22,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     failures = 0
-    for experiment in EXPERIMENTS:
+    for experiment in RECIPES:
         code = cli_main([
             "repro", "--experiment", experiment,
             "--data-dir", args.data_dir, "--out", args.out,
@@ -31,7 +30,7 @@ def main(argv=None) -> int:
         if code != 0:
             print(f"{experiment}: skipped (exit {code}); see message above")
             failures += 1
-    print(f"done: {len(EXPERIMENTS) - failures}/{len(EXPERIMENTS)} experiments completed")
+    print(f"done: {len(RECIPES) - failures}/{len(RECIPES)} experiments completed")
     return 0 if failures == 0 else 1
 
 

@@ -16,7 +16,6 @@ from .graph_core import (  # noqa: F401
     load_edge_list,
     load_tu_dataset,
     make_graph,
-    serialize_edge_list,
     stats,
 )
 from .operators import (  # noqa: F401

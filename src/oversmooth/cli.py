@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 data/numerical error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
@@ -48,6 +47,7 @@ from .graph_core import (
 )
 from .io_formats import (
     RunManifest,
+    dump_json,
     export_axiom_report_json,
     export_matrix_csv,
     export_ratio_csv,
@@ -195,7 +195,7 @@ def cmd_analyze(args) -> int:
         p = build(g, OperatorKind.NORMALIZED_LAPLACIAN)
         q = build(g, OperatorKind.UNNORMALIZED_LAPLACIAN)
         doc["laplacians_commute"], doc["commutator_frobenius_norm"] = commutation(p, q)
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(dump_json(doc), end="")
     return 0
 
 

@@ -163,7 +163,7 @@ def propagate(g: Graph, x0, cfg: PropagationConfig) -> tuple[np.ndarray, LayerTr
             dirichlet_energy(op, mat, cfg.track_volume_constant) for op in laplacians
         )
         if not all(np.isfinite(v) for v in (fro, e_d, e_dn, e_dt)):
-            raise NumericalError(f"non-finite metric at layer {k}", layer=k)
+            raise NumericalError(f"non-finite metric at layer {k}")
         ratio = e_d / e_dn if e_dn > 0.0 else None
         align = None
         if fro >= 1e-300:
@@ -181,7 +181,7 @@ def propagate(g: Graph, x0, cfg: PropagationConfig) -> tuple[np.ndarray, LayerTr
         if weights is not None:
             x = x @ weights[k - 1]
         if not np.all(np.isfinite(x)):
-            raise NumericalError(f"non-finite signal at layer {k}", layer=k)
+            raise NumericalError(f"non-finite signal at layer {k}")
         records.append(record(k, x))
 
     trace = LayerTrace(

@@ -27,6 +27,7 @@ DEFAULT_SEED = 789001361
 DEFAULT_AXIOM_TOL = 1e-8  # absolute, on unit-Frobenius-norm signals
 AXIOM2_TOL = 1e-9  # absolute slack of mu(X + Y) <= mu(X) + mu(Y)
 _PROBE_WIDTH = 3  # columns of the signals the axiom checks draw
+_CONSTANT_ROWS_TOL = 1e-12  # relative row spread below which a signal counts as constant
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,10 +109,10 @@ def normalize_conjugation(op: GraphOperator) -> GraphOperator:
     )
 
 
-def _is_constant_rows(x: np.ndarray, tol: float = 1e-12) -> bool:
+def _is_constant_rows(x: np.ndarray) -> bool:
     if x.shape[0] == 0:
         return True
-    return float(np.abs(x - x[0]).max()) <= tol * max(1.0, float(np.abs(x).max()))
+    return float(np.abs(x - x[0]).max()) <= _CONSTANT_ROWS_TOL * max(1.0, float(np.abs(x).max()))
 
 
 def axiom1_check(

@@ -12,11 +12,6 @@ class DomainError(ValueError):
 class NumericalError(RuntimeError):
     """A computation produced numerically invalid results (NaN/Inf, failed residual)."""
 
-    def __init__(self, message: str, layer: int | None = None, residual: float | None = None):
-        super().__init__(message)
-        self.layer = layer
-        self.residual = residual
-
 
 class InsufficientDataError(ValueError):
     """Not enough usable data points for a fit."""

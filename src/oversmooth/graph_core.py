@@ -251,13 +251,6 @@ def load_edge_list(text: str) -> Graph:
     return Graph(n_nodes, _canonical(e))
 
 
-def serialize_edge_list(g: Graph) -> str:
-    """Canonical edge-list text; inverse of load_edge_list."""
-    lines = [f"n {g.n_nodes}"]
-    lines.extend(f"{i} {j}" for i, j in g.edge_array.tolist())
-    return "\n".join(lines) + "\n"
-
-
 def _indicator_faults(lines: list[str]) -> Iterator[str]:
     for lineno, raw in enumerate(lines, start=1):
         if raw.strip() and _read([raw], np.int64, 1) is None:

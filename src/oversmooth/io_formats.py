@@ -15,12 +15,9 @@ import numpy as np
 
 from .dynamics import DecayFit, LayerRecord, LayerTrace, RatioTrace, RegimeVerdict
 from .energy import AxiomCheckResult
-from .errors import GraphFormatError
-from .operators import OperatorKind
 from .spectral import SpectralDecomposition, SuperpositionMatrix
 
-_TRACE_FIELDS = fields(LayerRecord)
-TRACE_COLUMNS = tuple(f.name for f in _TRACE_FIELDS)
+TRACE_COLUMNS = tuple(f.name for f in fields(LayerRecord))
 
 
 def g17(x: float) -> str:
@@ -44,16 +41,28 @@ class RunManifest:
         ]
 
 
+def _csv(manifest: RunManifest, meta: list[tuple[str, object]], rows: list[str]) -> str:
+    """Manifest preamble, one '# key: value' line per meta pair, then the rows.
+
+    The text is joined once, so the largest artifacts are not copied twice.
+    """
+    meta_lines = [f"# {key}: {value}" for key, value in meta]
+    return "\n".join([*manifest.preamble_lines(), *meta_lines, *rows, ""])
+
+
+def dump_json(doc: dict) -> str:
+    """The one dump policy for JSON output: indented, keys sorted, newline-terminated."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def export_trace_csv(trace: LayerTrace, manifest: RunManifest) -> str:
-    lines = manifest.preamble_lines()
-    lines.append(f"# operator_kind: {trace.operator_kind.value}")
-    lines.append(f"# track_volume_constant: {str(trace.track_volume_constant).lower()}")
-    for note in trace.notes:
-        lines.append(f"# note: {note}")
-    lines.append(",".join(TRACE_COLUMNS))
-    for rec in trace.records:
-        lines.append(",".join(_trace_cell(getattr(rec, name)) for name in TRACE_COLUMNS))
-    return "\n".join(lines) + "\n"
+    meta = [("operator_kind", trace.operator_kind.value),
+            ("track_volume_constant", str(trace.track_volume_constant).lower()),
+            *(("note", note) for note in trace.notes)]
+    rows = [",".join(TRACE_COLUMNS)]
+    rows.extend(",".join(_trace_cell(getattr(rec, name)) for name in TRACE_COLUMNS)
+                for rec in trace.records)
+    return _csv(manifest, meta, rows)
 
 
 def _trace_cell(value) -> str:
@@ -62,65 +71,14 @@ def _trace_cell(value) -> str:
     return str(value) if isinstance(value, int) else g17(value)
 
 
-def _parse_trace_cell(text: str, annotation: str):
-    # the annotations are strings ("int", "float", "float | None"): LayerRecord's
-    # module postpones their evaluation
-    if annotation == "int":
-        return int(text)
-    if text == "" and annotation.endswith("| None"):
-        return None
-    return float(text)
-
-
-def parse_trace_csv(text: str) -> LayerTrace:
-    operator_kind = None
-    track_vol = False
-    notes = []
-    records = []
-    saw_header = False
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("operator_kind:"):
-                operator_kind = OperatorKind(body.split(":", 1)[1].strip())
-            elif body.startswith("track_volume_constant:"):
-                track_vol = body.split(":", 1)[1].strip() == "true"
-            elif body.startswith("note:"):
-                notes.append(body.split(":", 1)[1].strip())
-            continue
-        if not saw_header:
-            if tuple(line.split(",")) != TRACE_COLUMNS:
-                raise GraphFormatError(f"unexpected trace header {line!r}")
-            saw_header = True
-            continue
-        cells = line.split(",")
-        if len(cells) != len(TRACE_COLUMNS):
-            raise GraphFormatError(f"bad trace row {line!r}")
-        records.append(LayerRecord(
-            *(_parse_trace_cell(cell, f.type) for cell, f in zip(cells, _TRACE_FIELDS))
-        ))
-    if operator_kind is None or not saw_header:
-        raise GraphFormatError("trace CSV missing operator_kind preamble or header")
-    return LayerTrace(
-        operator_kind=operator_kind,
-        records=tuple(records),
-        track_volume_constant=track_vol,
-        notes=tuple(notes),
-    )
-
-
 def export_report_json(
     verdict: RegimeVerdict, fits: dict[str, DecayFit], manifest: RunManifest
 ) -> str:
-    doc = {
+    return dump_json({
         "verdict": asdict(verdict),
         "fits": {name: asdict(fit) for name, fit in fits.items()},
         "manifest": asdict(manifest),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    })
 
 
 def export_axiom_report_json(
@@ -131,7 +89,7 @@ def export_axiom_report_json(
     tolerances: dict[str, float],
     manifest: RunManifest,
 ) -> str:
-    doc = {
+    return dump_json({
         "operator_kind": operator_label,
         "holds_axiom1": axiom1.holds,
         "holds_axiom2": axiom2,
@@ -140,27 +98,18 @@ def export_axiom_report_json(
         "seed": seed,
         "tolerances": tolerances,
         "manifest": asdict(manifest),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    })
 
 
 def export_ratio_csv(ratio: RatioTrace, manifest: RunManifest) -> str:
-    lines = manifest.preamble_lines()
-    if ratio.cut_layer is not None:
-        lines.append(f"# cut_layer: {ratio.cut_layer}")
-    lines.append("k,ratio")
-    for k, r in ratio.points:
-        lines.append(f"{k},{g17(r)}")
-    return "\n".join(lines) + "\n"
+    meta = [] if ratio.cut_layer is None else [("cut_layer", ratio.cut_layer)]
+    return _csv(manifest, meta, ["k,ratio", *(f"{k},{g17(r)}" for k, r in ratio.points)])
 
 
 def export_spectra_csv(dec: SpectralDecomposition, manifest: RunManifest) -> str:
-    lines = manifest.preamble_lines()
-    lines.append(f"# operator_kind: {dec.operator_kind.value}")
-    lines.append("index,eigenvalue")
-    for idx, lam in enumerate(dec.eigenvalues):
-        lines.append(f"{idx},{g17(float(lam))}")
-    return "\n".join(lines) + "\n"
+    rows = ["index,eigenvalue",
+            *(f"{idx},{g17(float(lam))}" for idx, lam in enumerate(dec.eigenvalues))]
+    return _csv(manifest, [("operator_kind", dec.operator_kind.value)], rows)
 
 
 def _matrix_rows(matrix: np.ndarray) -> list[str]:
@@ -171,17 +120,13 @@ def _matrix_rows(matrix: np.ndarray) -> list[str]:
 
 
 def export_matrix_csv(matrix: np.ndarray, manifest: RunManifest) -> str:
-    lines = manifest.preamble_lines()
-    lines.extend(_matrix_rows(matrix))
-    return "\n".join(lines) + "\n"
+    return _csv(manifest, [], _matrix_rows(matrix))
 
 
 def export_superposition_csv(sup: SuperpositionMatrix, manifest: RunManifest) -> str:
-    lines = manifest.preamble_lines()
-    lines.append(f"# row_basis_kind: {sup.row_basis_kind.value}")
-    lines.append(f"# col_basis_kind: {sup.col_basis_kind.value}")
-    lines.extend(_matrix_rows(sup.entries))
-    return "\n".join(lines) + "\n"
+    meta = [("row_basis_kind", sup.row_basis_kind.value),
+            ("col_basis_kind", sup.col_basis_kind.value)]
+    return _csv(manifest, meta, _matrix_rows(sup.entries))
 
 
 def _find_files(

@@ -51,9 +51,7 @@ def eigendecompose(op: GraphOperator) -> SpectralDecomposition:
     scale = max(float(np.linalg.norm(m)), 1e-300)
     residual = float(np.linalg.norm((vecs * vals[None, :]) @ vecs.T - m))
     if residual > RECONSTRUCTION_TOL * scale:
-        raise NumericalError(
-            f"eigendecomposition residual {residual:.3e} exceeds tolerance", residual=residual
-        )
+        raise NumericalError(f"eigendecomposition residual {residual:.3e} exceeds tolerance")
     return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs, operator_kind=op.kind)
 
 
@@ -79,8 +77,9 @@ def energy_via_superposition(
     ``lambda lam: (1 - lam) ** k`` for k propagation steps. The five nested
     spectral sums are contracted as T = S^T diag(f) S (with S the overlap
     matrix between the two eigenbases) followed by
-    sum_w w * (T C T)[w, w], where C is the Gram matrix of the input expressed
-    in the Delta eigenbasis.
+    sum_w w * (T C T)[w, w], where C = Y Y^T is the Gram matrix of the input Y
+    expressed in the Delta eigenbasis. T is symmetric, so (T C T)[w, w] is the
+    squared norm of row w of T Y.
     """
     x0 = as_signal(x0, g.n_nodes)
     dec_delta = eigendecompose(build(g, OperatorKind.UNNORMALIZED_LAPLACIAN))
@@ -89,4 +88,4 @@ def energy_via_superposition(
     fvals = np.asarray(f(dec_norm.eigenvalues), dtype=float)
     y = dec_delta.eigenvectors.T @ x0
     t = s.T @ (fvals[:, None] * s)
-    return float(np.sum(dec_delta.eigenvalues * np.diag(t @ (y @ y.T) @ t)))
+    return float(np.sum(dec_delta.eigenvalues * np.sum((t @ y) ** 2, axis=1)))

@@ -10,6 +10,7 @@ import numpy as np
 from .graph_core import Graph, make_graph, stats
 
 DEFAULT_DATASET_SEED = 20240817
+ATTR_WIDTH = 6  # node attributes per row of the synthetic dataset
 
 
 def random_connected_graph(rng, n, p=0.35, regular=None, bipartite=None) -> Graph:
@@ -31,7 +32,7 @@ def random_connected_graph(rng, n, p=0.35, regular=None, bipartite=None) -> Grap
     raise RuntimeError("could not sample a graph with the requested properties")
 
 
-def write_synthetic_enzymes(data_dir, seed=DEFAULT_DATASET_SEED, n_graphs=19, attr_width=6):
+def write_synthetic_enzymes(data_dir, seed=DEFAULT_DATASET_SEED, n_graphs=19):
     """Write a TU-format dataset (ENZYMES_*.txt) into data_dir and return its graphs.
 
     Indices 0/10/18 mirror the shapes the experiment recipes use: a 37-node
@@ -56,8 +57,8 @@ def write_synthetic_enzymes(data_dir, seed=DEFAULT_DATASET_SEED, n_graphs=19, at
     adjacency = [f"{i}, {j}\n{j}, {i}" for g, off in zip(graphs, offsets)
                  for i, j in (g.edge_array + off).tolist()]
     indicator = np.repeat(np.arange(1, n_graphs + 1), sizes).astype(str).tolist()
-    row = ",".join(["%.6f"] * attr_width)
-    attributes = [row % tuple(r) for r in rng.standard_normal((sum(sizes), attr_width)).tolist()]
+    row = ",".join(["%.6f"] * ATTR_WIDTH)
+    attributes = [row % tuple(r) for r in rng.standard_normal((sum(sizes), ATTR_WIDTH)).tolist()]
 
     data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from oversmooth import (
     make_graph,
     superposition,
 )
-from oversmooth.dynamics import PerLayerWeights, _weight_chain
+from oversmooth.dynamics import LayerRecord, LayerTrace, PerLayerWeights, _weight_chain
 from oversmooth.energy import as_signal, quadratic_form
+from oversmooth.io_formats import TRACE_COLUMNS
 from oversmooth.operators import KINDS, LAPLACIAN_KINDS
 from oversmooth.synthetic import random_connected_graph, write_synthetic_enzymes  # noqa: F401
 
@@ -236,6 +238,64 @@ def reference_load_edge_list(text):
     if max_id >= n_nodes:
         raise GraphFormatError(f"node id {max_id} exceeds declared count {n_nodes}")
     return make_graph(n_nodes, pairs)
+
+
+def serialize_edge_list(g):
+    """Canonical edge-list text; inverse of load_edge_list."""
+    lines = [f"n {g.n_nodes}"]
+    lines.extend(f"{i} {j}" for i, j in g.edge_array.tolist())
+    return "\n".join(lines) + "\n"
+
+
+def _parse_trace_cell(text, annotation):
+    # the annotations are strings ("int", "float", "float | None"): LayerRecord's
+    # module postpones their evaluation
+    if annotation == "int":
+        return int(text)
+    if text == "" and annotation.endswith("| None"):
+        return None
+    return float(text)
+
+
+def reference_parse_trace_csv(text):
+    """Reader for the trace CSV that io_formats.export_trace_csv writes; inverse of it."""
+    operator_kind = None
+    track_vol = False
+    notes = []
+    records = []
+    saw_header = False
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if body.startswith("operator_kind:"):
+                operator_kind = OperatorKind(body.split(":", 1)[1].strip())
+            elif body.startswith("track_volume_constant:"):
+                track_vol = body.split(":", 1)[1].strip() == "true"
+            elif body.startswith("note:"):
+                notes.append(body.split(":", 1)[1].strip())
+            continue
+        if not saw_header:
+            if tuple(line.split(",")) != TRACE_COLUMNS:
+                raise GraphFormatError(f"unexpected trace header {line!r}")
+            saw_header = True
+            continue
+        cells = line.split(",")
+        if len(cells) != len(TRACE_COLUMNS):
+            raise GraphFormatError(f"bad trace row {line!r}")
+        records.append(LayerRecord(
+            *(_parse_trace_cell(cell, f.type) for cell, f in zip(cells, fields(LayerRecord)))
+        ))
+    if operator_kind is None or not saw_header:
+        raise GraphFormatError("trace CSV missing operator_kind preamble or header")
+    return LayerTrace(
+        operator_kind=operator_kind,
+        records=tuple(records),
+        track_volume_constant=track_vol,
+        notes=tuple(notes),
+    )
 
 
 def reference_load_tu_dataset(adjacency_text, indicator_text, node_attr_text=None):

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 import oversmooth
-from oversmooth import GraphOperator, serialize_edge_list
+from oversmooth import GraphOperator
 from oversmooth import cli
 from oversmooth.cli import main
 
-from conftest import PENDANT_TRIANGLE_TEXT, ring_with_chords
+from conftest import PENDANT_TRIANGLE_TEXT, ring_with_chords, serialize_edge_list
 
 SRC = str(Path(oversmooth.__file__).resolve().parents[1])
 

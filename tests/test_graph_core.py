@@ -17,14 +17,13 @@ from oversmooth import (
     load_edge_list,
     load_tu_dataset,
     make_graph,
-    serialize_edge_list,
     stats,
 )
 from oversmooth import graph_core
 from oversmooth.graph_core import connected_components
 from oversmooth.synthetic import write_synthetic_enzymes
 
-from conftest import PENDANT_TRIANGLE_TEXT, reference_canonical
+from conftest import PENDANT_TRIANGLE_TEXT, reference_canonical, serialize_edge_list
 
 
 class TestLoadEdgeList:

