@@ -99,12 +99,13 @@ def _resolve_data_dir(arg: str | None) -> str | None:
 
 
 def resolve_graph(
-    selector: str, data_dir: str | None
+    selector: str, data_dir: str | None, *, read_attributes: bool = True
 ) -> tuple[Graph, np.ndarray | None, str]:
     """Turn a --graph selector into (graph, optional features, dataset id).
 
     Selectors: 'enzymes:<idx>' (0-based TU file order), 'cora-lcc', or a path
-    to an edge-list file.
+    to an edge-list file. With ``read_attributes=False`` a TU dataset's node
+    attribute file is not read (nor checked), and its features are None.
     """
     if data_dir is None and (selector.startswith("enzymes:") or selector == "cora-lcc"):
         raise FileNotFoundError(f"selector {selector!r} needs --data-dir or ${DATA_DIR_ENV}")
@@ -112,7 +113,7 @@ def resolve_graph(
         idx = int(selector.split(":", 1)[1])
         files = find_tu_files(data_dir)
         attr_text = (
-            files["attributes"].read_text() if "attributes" in files else None
+            files["attributes"].read_text() if read_attributes and "attributes" in files else None
         )
         graphs = load_tu_dataset(
             files["adjacency"].read_text(), files["indicator"].read_text(), attr_text
@@ -179,7 +180,9 @@ def _write_or_print(path: str | None, text: str):
 
 
 def cmd_analyze(args) -> int:
-    g, _, dataset_id = resolve_graph(args.graph, _resolve_data_dir(args.data_dir))
+    g, _, dataset_id = resolve_graph(
+        args.graph, _resolve_data_dir(args.data_dir), read_attributes=False
+    )
     st = stats(g)
     doc = {
         "dataset_id": dataset_id,
@@ -247,7 +250,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_axioms(args) -> int:
-    g, _, dataset_id = resolve_graph(args.graph, _resolve_data_dir(args.data_dir))
+    g, _, dataset_id = resolve_graph(
+        args.graph, _resolve_data_dir(args.data_dir), read_attributes=False
+    )
     label = args.operator
     base = label.removeprefix("conjugate:")
     op = descriptor_for(g, OPERATOR_ALIASES[base])
@@ -297,7 +302,9 @@ def cmd_ratio(args) -> int:
 
 
 def cmd_spectra(args) -> int:
-    g, _, dataset_id = resolve_graph(args.graph, _resolve_data_dir(args.data_dir))
+    g, _, dataset_id = resolve_graph(
+        args.graph, _resolve_data_dir(args.data_dir), read_attributes=False
+    )
     dec = eigendecompose(build(g, OPERATOR_ALIASES[args.operator]))
     manifest = _manifest(dataset_id, args.graph, {"operator": args.operator}, args.seed)
     _write_or_print(args.out, export_spectra_csv(dec, manifest))
@@ -309,7 +316,9 @@ def cmd_spectra(args) -> int:
 
 
 def cmd_export_operator(args) -> int:
-    g, _, dataset_id = resolve_graph(args.graph, _resolve_data_dir(args.data_dir))
+    g, _, dataset_id = resolve_graph(
+        args.graph, _resolve_data_dir(args.data_dir), read_attributes=False
+    )
     op = build(g, OPERATOR_ALIASES[args.operator])
     manifest = _manifest(dataset_id, args.graph, {"operator": args.operator}, args.seed)
     _write_or_print(args.out, export_matrix_csv(op.matrix, manifest))

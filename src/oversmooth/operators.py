@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -12,6 +13,11 @@ from .graph_core import Graph, connected_components
 
 SYMMETRY_TOL = 1e-12
 COMMUTATION_TOL = 1e-10  # relative, double precision with O(n) accumulation
+# numpy's pairwise sum adds fewer than 8 terms one after another, so a row of at
+# most 8 entries is a0 + a running sum of a1 .. a(L-1) in ``np.add.reduceat``.
+# This is numpy's unrolled block, not a tuning knob: the product is bit-identical
+# to reduceat only while it matches numpy.
+PAIRWISE_BLOCK = 8
 
 
 class OperatorKind(Enum):
@@ -67,7 +73,8 @@ class GraphOperator:
     Row i holds its entries in ``data[indptr[i]:indptr[i + 1]]`` at the columns
     ``indices[indptr[i]:indptr[i + 1]]``, in ascending column order, with an
     explicit (possibly zero) diagonal entry in every row. ``op @ x`` is the
-    O(nnz * f) product; ``matrix`` makes a dense copy on each access.
+    O(nnz * f) product, summed bit for bit as ``np.add.reduceat`` over each
+    row would; ``matrix`` makes a dense copy on each access.
     """
 
     kind: OperatorKind
@@ -106,19 +113,73 @@ class GraphOperator:
         m[self.rows(), self.indices] = self.data
         return m
 
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """The product for a 1-D or 2-D x in O(nnz * f), each row summed by ``np.add.reduceat``.
+    @cached_property
+    def _sum_plan(self) -> _SumPlan:
+        """The entries of ``@`` in an order set by ``indptr`` alone.
 
-        ``reduceat`` keeps its own summation order, which need not be a
-        sequential sum in column order. That order is fixed and uses no BLAS,
-        so the result does not depend on the BLAS thread count. ``reduceat``
-        needs a non-empty row, which the diagonal entry guarantees.
+        Rows of at most ``PAIRWISE_BLOCK`` entries come first, longest row first,
+        laid out position by position: block j holds the j-th entry of every row
+        that has one, and those rows form a prefix of ``short_rows``. The longer
+        rows follow with their contiguous segments.
+        """
+        lengths = np.diff(self.indptr)
+        is_short = lengths <= PAIRWISE_BLOCK
+        short_rows = np.flatnonzero(is_short)
+        short_rows = short_rows[np.argsort(-lengths[short_rows], kind="stable")]
+        counts = [np.count_nonzero(lengths[short_rows] > j) for j in range(PAIRWISE_BLOCK)]
+        long_rows = np.flatnonzero(~is_short)
+        order = np.concatenate(
+            [self.indptr[short_rows[:c]] + j for j, c in enumerate(counts)]
+            + [np.flatnonzero(~is_short[self.rows()])]
+        )
+        long_lengths = lengths[long_rows]
+        return _SumPlan(
+            columns=self.indices[order],
+            values=self.data[order],
+            short_rows=short_rows,
+            bounds=tuple(np.concatenate(([0], np.cumsum(counts))).tolist()),
+            long_rows=long_rows,
+            long_starts=np.cumsum(long_lengths) - long_lengths,
+        )
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """The product for a 1-D or 2-D x in O(nnz * f), bit-identical to ``np.add.reduceat``.
+
+        Each row's entries a0 .. a(L-1), in column order, are summed as
+        a0 + pairwise(a1 .. a(L-1)) with numpy's pairwise sum, which is what
+        ``np.add.reduceat`` over the row computes. For L <= ``PAIRWISE_BLOCK``
+        that is a running sum started from a1 itself (a +0.0 start would turn a
+        row of -0.0 terms into +0.0), done here as slice adds over all short
+        rows at once; longer rows go through ``np.add.reduceat``. The order is
+        fixed and uses no BLAS, so the result does not depend on the BLAS
+        thread count. Every row is non-empty: the diagonal entry is stored.
         """
         x = np.asarray(x, dtype=float)
-        terms = np.take(x if x.ndim == 2 else x[:, None], self.indices, axis=0)
-        terms *= self.data[:, None]
-        out = np.add.reduceat(terms, self.indptr[:-1], axis=0)
+        plan = self._sum_plan
+        terms = np.take(x if x.ndim == 2 else x[:, None], plan.columns, axis=0)
+        terms *= plan.values[:, None]
+        b = plan.bounds
+        running = terms[b[1]:b[2]]  # a1 of every short row with two or more entries
+        for j in range(2, PAIRWISE_BLOCK):
+            running[: b[j + 1] - b[j]] += terms[b[j]:b[j + 1]]
+        terms[: len(running)] += running
+        out = np.empty((self.n, terms.shape[1]))
+        out[plan.short_rows] = terms[: b[1]]
+        if len(plan.long_rows):
+            out[plan.long_rows] = np.add.reduceat(terms[b[-1]:], plan.long_starts, axis=0)
         return out if x.ndim == 2 else out[:, 0]
+
+
+@dataclass(frozen=True)
+class _SumPlan:
+    """``GraphOperator.__matmul__``'s entry order; see ``GraphOperator._sum_plan``."""
+
+    columns: np.ndarray  # indices and data in the plan's entry order
+    values: np.ndarray
+    short_rows: np.ndarray  # rows of <= PAIRWISE_BLOCK entries, longest first
+    bounds: tuple[int, ...]  # block j of short-row entries is bounds[j]:bounds[j + 1], j < 8
+    long_rows: np.ndarray
+    long_starts: np.ndarray  # segment starts of long rows, counted from bounds[-1]
 
 
 def _require_connected(g: Graph):

@@ -441,6 +441,15 @@ def dense_operator(g, kind):
     return m
 
 
+def reference_csr_matmul(op, x):
+    """Oracle for GraphOperator.__matmul__: every row summed by one ``np.add.reduceat``."""
+    x = np.asarray(x, dtype=float)
+    terms = np.take(x if x.ndim == 2 else x[:, None], op.indices, axis=0)
+    terms *= op.data[:, None]
+    out = np.add.reduceat(terms, op.indptr[:-1], axis=0)
+    return out if x.ndim == 2 else out[:, 0]
+
+
 def ring_with_chords(n, n_chords, seed):
     """Connected sparse graph: an n-cycle plus n_chords random chords."""
     rng = np.random.default_rng(seed)

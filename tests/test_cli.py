@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,12 @@ from oversmooth import GraphOperator
 from oversmooth import cli
 from oversmooth.cli import main
 
-from conftest import PENDANT_TRIANGLE_TEXT, ring_with_chords, serialize_edge_list
+from conftest import (
+    PENDANT_TRIANGLE_TEXT,
+    reference_csr_matmul,
+    ring_with_chords,
+    serialize_edge_list,
+)
 
 SRC = str(Path(oversmooth.__file__).resolve().parents[1])
 
@@ -322,6 +328,42 @@ class TestRepro:
         assert len(repro) == 52 and repro == sim  # header + layers 0..50
 
 
+class TestProductOrder:
+    """The CSR product sums in reduceat's order, so no output byte depends on it."""
+
+    @staticmethod
+    def _outputs_with_each_product(monkeypatch, argv, out_dir):
+        outputs = []
+        for product in (GraphOperator.__matmul__, reference_csr_matmul):
+            monkeypatch.setattr(GraphOperator, "__matmul__", product)
+            shutil.rmtree(out_dir, ignore_errors=True)
+            assert main(argv) == 0
+            outputs.append([_strip_timestamps((out_dir / name).read_text())
+                            for name in ("trace.csv", "report.json")])
+        return outputs
+
+    def test_weighted_simulate_on_a_hub_graph(self, tmp_path, monkeypatch, capsys):
+        # node 0's row holds 150 entries; the others are a path with random chords, and
+        # many rows hold 9 entries, the shortest that reduceat sums in its 8-way block
+        rng = np.random.default_rng(3)
+        pairs = [(0, i) for i in range(1, 150)] + [(i, i + 1) for i in range(1, 199)]
+        pairs += [(a, b) for a, b in rng.integers(1, 200, size=(400, 2)).tolist() if a != b]
+        graph = tmp_path / "hub.txt"
+        graph.write_text("n 200\n" + "".join(f"{a} {b}\n" for a, b in pairs))
+        out = tmp_path / "out"
+        new, old = self._outputs_with_each_product(monkeypatch, [
+            "simulate", "--graph", str(graph), "--weights", "per-layer", "--out", str(out),
+        ], out)
+        assert new == old
+
+    def test_repro_fig2(self, synthetic_enzymes_dir, tmp_path, monkeypatch, capsys):
+        new, old = self._outputs_with_each_product(monkeypatch, [
+            "repro", "--experiment", "fig2", "--data-dir", str(synthetic_enzymes_dir),
+            "--out", str(tmp_path / "repro"),
+        ], tmp_path / "repro" / "fig2")
+        assert new == old
+
+
 class TestUsageErrors:
     def test_unknown_command_is_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -427,6 +469,19 @@ class TestUsageErrors:
         assert main(["simulate", "--graph", "enzymes:0", "--data-dir", str(synthetic_enzymes_dir),
                      "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_bad_attribute_file_fails_only_commands_that_read_features(
+            self, synthetic_enzymes_dir, tmp_path, capsys):
+        axioms = ["axioms", "--graph", "enzymes:0", "--data-dir", str(synthetic_enzymes_dir)]
+        assert main(axioms) == 0
+        good = capsys.readouterr()
+        path = synthetic_enzymes_dir / "ENZYMES_node_attributes.txt"
+        path.write_text(path.read_text().rstrip("\n").rsplit(",", 1)[0] + "\n")
+        assert main(axioms) == 0
+        assert capsys.readouterr() == good
+        assert main(["simulate", "--graph", "enzymes:0", "--data-dir", str(synthetic_enzymes_dir),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: inconsistent attribute row widths\n"
 
     def test_enzymes_selector_builds_one_graph(self, synthetic_enzymes_dir, built_graphs):
         g, x, _ = cli.resolve_graph("enzymes:10", str(synthetic_enzymes_dir))

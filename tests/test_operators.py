@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oversmooth import (
     DomainError,
@@ -30,6 +32,7 @@ from conftest import (
     dense_operator,
     edge_sum_energy,
     random_connected_graph,
+    reference_csr_matmul,
 )
 
 STANDARD_KINDS = (
@@ -106,6 +109,45 @@ class TestCsr:
         op = build(g, OperatorKind.UNNORMALIZED_LAPLACIAN)
         assert op.matrix.tolist() == [[0.0]]
         assert (op @ np.ones((1, 2))).tolist() == [[0.0, 0.0]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        # node 0's row has hub + 1 entries: short (2-8), reduceat's 8-way block
+        # (9-129, the shortest of them drawn often), or pairwise halves (> 129)
+        hub=st.one_of(
+            st.integers(1, 7), st.integers(8, 12), st.integers(13, 128), st.integers(129, 200)
+        ),
+        chords=st.integers(0, 30),
+        kind=st.sampled_from(STANDARD_KINDS),
+        width=st.sampled_from([None, 0, 1, 3, 16]),
+        fortran=st.booleans(),
+        zeros=st.sampled_from(["none", "signed", "negative"]),
+    )
+    # a 9-entry row, the shortest that reduceat sums in its 8-way block
+    @example(seed=0, hub=8, chords=0, kind=OperatorKind.NORMALIZED_ADJACENCY, width=16,
+             fortran=False, zeros="none")
+    # rows whose terms are all -0.0 (A_norm's diagonal is +0.0, and +0.0 * -0.0 = -0.0)
+    @example(seed=0, hub=3, chords=0, kind=OperatorKind.NORMALIZED_ADJACENCY, width=3,
+             fortran=False, zeros="negative")
+    def test_product_is_bit_identical_to_reduceat(self, seed, hub, chords, kind, width,
+                                                 fortran, zeros):
+        rng = np.random.default_rng(seed)
+        n = hub + 1 + int(rng.integers(0, 40))
+        pairs = [(0, i) for i in range(1, hub + 1)]
+        pairs += [(i, int(rng.integers(0, i))) for i in range(hub + 1, n)]  # a tree on the rest
+        pairs += [(int(a), int(b)) for a, b in rng.integers(1, n, size=(chords, 2)) if a != b]
+        op = build(make_graph(n, pairs), kind)
+        x = rng.standard_normal(n if width is None else (n, width))
+        if zeros != "none":
+            signs = [-0.0] if zeros == "negative" else [0.0, -0.0]
+            hit = rng.random(x.shape) < 0.75
+            x[hit] = rng.choice(signs, size=int(hit.sum()))
+        if fortran:
+            x = np.asfortranarray(x)
+        got, want = op @ x, reference_csr_matmul(op, x)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_asymmetric_csr_values_rejected(self, pendant_triangle):
         op = build(pendant_triangle, OperatorKind.UNNORMALIZED_LAPLACIAN)
