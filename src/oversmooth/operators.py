@@ -18,6 +18,9 @@ COMMUTATION_TOL = 1e-10  # relative, double precision with O(n) accumulation
 # This is numpy's unrolled block, not a tuning knob: the product is bit-identical
 # to reduceat only while it matches numpy.
 PAIRWISE_BLOCK = 8
+# Below this many product terms (nnz x columns) one reduceat call costs less than
+# the slice adds' fixed per-call cost; the two cross near 5k-10k terms.
+_MIN_SLICE_TERMS = 8192
 
 
 class OperatorKind(Enum):
@@ -150,13 +153,20 @@ class GraphOperator:
         ``np.add.reduceat`` over the row computes. For L <= ``PAIRWISE_BLOCK``
         that is a running sum started from a1 itself (a +0.0 start would turn a
         row of -0.0 terms into +0.0), done here as slice adds over all short
-        rows at once; longer rows go through ``np.add.reduceat``. The order is
-        fixed and uses no BLAS, so the result does not depend on the BLAS
-        thread count. Every row is non-empty: the diagonal entry is stored.
+        rows at once; longer rows, and small products, go through
+        ``np.add.reduceat``. The order is fixed and uses no BLAS, so the result
+        does not depend on the BLAS thread count. Every row is non-empty: the
+        diagonal entry is stored.
         """
         x = np.asarray(x, dtype=float)
+        x2 = x if x.ndim == 2 else x[:, None]
+        if len(self.indices) * x2.shape[1] < _MIN_SLICE_TERMS:
+            terms = np.take(x2, self.indices, axis=0)
+            terms *= self.data[:, None]
+            out = np.add.reduceat(terms, self.indptr[:-1], axis=0)
+            return out if x.ndim == 2 else out[:, 0]
         plan = self._sum_plan
-        terms = np.take(x if x.ndim == 2 else x[:, None], plan.columns, axis=0)
+        terms = np.take(x2, plan.columns, axis=0)
         terms *= plan.values[:, None]
         b = plan.bounds
         running = terms[b[1]:b[2]]  # a1 of every short row with two or more entries
