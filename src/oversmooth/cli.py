@@ -55,8 +55,6 @@ from .io_formats import (
     export_spectra_csv,
     export_superposition_csv,
     export_trace_csv,
-    find_cora_files,
-    find_tu_files,
 )
 from .operators import LAPLACIAN_KINDS, PROPAGATION_KINDS, OperatorKind, build, commutation
 from .spectral import eigendecompose, superposition
@@ -94,8 +92,22 @@ def _now_iso() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _resolve_data_dir(arg: str | None) -> str | None:
-    return arg if arg is not None else os.environ.get(DATA_DIR_ENV)
+def _read_dataset(
+    data_dir: str, sub: str, required: tuple[str, ...], optional: tuple[str, ...] = ()
+) -> list[str | None]:
+    """Text of each named file, from data_dir/<name> or else data_dir/<sub>/<name>.
+
+    A missing optional file reads as None; missing required files raise, all named.
+    """
+    root = Path(data_dir)
+    paths = {
+        name: next((path for path in (root / name, root / sub / name) if path.is_file()), None)
+        for name in (*required, *optional)
+    }
+    missing = [name for name in required if paths[name] is None]
+    if missing:
+        raise FileNotFoundError(f"missing dataset files under {root}: " + ", ".join(missing))
+    return [None if path is None else path.read_text() for path in paths.values()]
 
 
 def resolve_graph(
@@ -104,27 +116,26 @@ def resolve_graph(
     """Turn a --graph selector into (graph, optional features, dataset id).
 
     Selectors: 'enzymes:<idx>' (0-based TU file order), 'cora-lcc', or a path
-    to an edge-list file. With ``read_attributes=False`` a TU dataset's node
-    attribute file is not read (nor checked), and its features are None.
+    to an edge-list file. A dataset selector reads its files from data_dir or
+    its ENZYMES/ or cora/ subdirectory: ENZYMES_A.txt and
+    ENZYMES_graph_indicator.txt, plus ENZYMES_node_attributes.txt when present;
+    cora.content and cora.cites. With ``read_attributes=False`` the attribute
+    file is not looked for, and the features are None.
     """
     if data_dir is None and (selector.startswith("enzymes:") or selector == "cora-lcc"):
         raise FileNotFoundError(f"selector {selector!r} needs --data-dir or ${DATA_DIR_ENV}")
     if selector.startswith("enzymes:"):
         idx = int(selector.split(":", 1)[1])
-        files = find_tu_files(data_dir)
-        attr_text = (
-            files["attributes"].read_text() if read_attributes and "attributes" in files else None
-        )
-        graphs = load_tu_dataset(
-            files["adjacency"].read_text(), files["indicator"].read_text(), attr_text
-        )
+        optional = ("ENZYMES_node_attributes.txt",) if read_attributes else ()
+        graphs = load_tu_dataset(*_read_dataset(
+            data_dir, "ENZYMES", ("ENZYMES_A.txt", "ENZYMES_graph_indicator.txt"), optional
+        ))
         if not (0 <= idx < len(graphs)):
             raise DomainError(f"dataset has {len(graphs)} graphs, index {idx} out of range")
         g, x = graphs[idx]
         return g, x, "ENZYMES"
     if selector == "cora-lcc":
-        files = find_cora_files(data_dir)
-        g, x = load_cora(files["content"].read_text(), files["cites"].read_text())
+        g, x = load_cora(*_read_dataset(data_dir, "cora", ("cora.content", "cora.cites")))
         g, x = largest_connected_component(g, x)
         return g, x, "cora"
     path = Path(selector)
@@ -180,9 +191,7 @@ def _write_or_print(path: str | None, text: str):
 
 
 def cmd_analyze(args) -> int:
-    g, _, dataset_id = resolve_graph(
-        args.graph, _resolve_data_dir(args.data_dir), read_attributes=False
-    )
+    g, _, dataset_id = resolve_graph(args.graph, args.data_dir, read_attributes=False)
     st = stats(g)
     doc = {
         "dataset_id": dataset_id,
@@ -240,7 +249,7 @@ def _simulation_outputs(trace, manifest, out_dir: Path) -> RegimeVerdict:
 
 
 def cmd_simulate(args) -> int:
-    g, features, dataset_id = resolve_graph(args.graph, _resolve_data_dir(args.data_dir))
+    g, features, dataset_id = resolve_graph(args.graph, args.data_dir)
     trace, manifest = _run_simulation(g, features, args, args.graph, dataset_id)
     verdict = _simulation_outputs(trace, manifest, Path(args.out))
     print(f"over_smoothing={verdict.over_smoothing} over_shrinking={verdict.over_shrinking}")
@@ -250,9 +259,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_axioms(args) -> int:
-    g, _, dataset_id = resolve_graph(
-        args.graph, _resolve_data_dir(args.data_dir), read_attributes=False
-    )
+    g, _, dataset_id = resolve_graph(args.graph, args.data_dir, read_attributes=False)
     label = args.operator
     base = label.removeprefix("conjugate:")
     op = descriptor_for(g, OPERATOR_ALIASES[base])
@@ -278,7 +285,7 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_ratio(args) -> int:
-    g, features, dataset_id = resolve_graph(args.graph, _resolve_data_dir(args.data_dir))
+    g, features, dataset_id = resolve_graph(args.graph, args.data_dir)
     trace, manifest = _run_simulation(g, features, args, args.graph, dataset_id)
     ratio = energy_ratio_trace(trace)
     if args.out:
@@ -302,9 +309,7 @@ def cmd_ratio(args) -> int:
 
 
 def cmd_spectra(args) -> int:
-    g, _, dataset_id = resolve_graph(
-        args.graph, _resolve_data_dir(args.data_dir), read_attributes=False
-    )
+    g, _, dataset_id = resolve_graph(args.graph, args.data_dir, read_attributes=False)
     dec = eigendecompose(build(g, OPERATOR_ALIASES[args.operator]))
     manifest = _manifest(dataset_id, args.graph, {"operator": args.operator}, args.seed)
     _write_or_print(args.out, export_spectra_csv(dec, manifest))
@@ -316,9 +321,7 @@ def cmd_spectra(args) -> int:
 
 
 def cmd_export_operator(args) -> int:
-    g, _, dataset_id = resolve_graph(
-        args.graph, _resolve_data_dir(args.data_dir), read_attributes=False
-    )
+    g, _, dataset_id = resolve_graph(args.graph, args.data_dir, read_attributes=False)
     op = build(g, OPERATOR_ALIASES[args.operator])
     manifest = _manifest(dataset_id, args.graph, {"operator": args.operator}, args.seed)
     _write_or_print(args.out, export_matrix_csv(op.matrix, manifest))
@@ -326,12 +329,11 @@ def cmd_export_operator(args) -> int:
 
 
 def cmd_repro(args) -> int:
-    data_dir = _resolve_data_dir(args.data_dir)
-    if data_dir is None:
+    if args.data_dir is None:
         raise FileNotFoundError(f"repro needs --data-dir or ${DATA_DIR_ENV}")
     out_dir = Path(args.out) / args.experiment
     selector, output, weights = RECIPES[args.experiment]
-    g, features, dataset_id = resolve_graph(selector, data_dir)
+    g, features, dataset_id = resolve_graph(selector, args.data_dir)
     run = argparse.Namespace(
         layers=50, operator="anorm", weights=weights, seed=args.seed,
         features=args.features, volume_constant=True,
@@ -392,7 +394,8 @@ def _add_common(
     if graph:
         p.add_argument("--graph", required=True, type=_graph_selector,
                        help="edge-list path, 'enzymes:<idx>', or 'cora-lcc'")
-    p.add_argument("--data-dir", default=None,
+    # main builds the parser per call, so the variable is read when a command runs
+    p.add_argument("--data-dir", default=os.environ.get(DATA_DIR_ENV),
                    help=f"dataset directory (default ${DATA_DIR_ENV})")
     if seed:
         p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)

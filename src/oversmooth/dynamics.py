@@ -146,15 +146,6 @@ def propagate(g: Graph, x0, cfg: PropagationConfig) -> tuple[np.ndarray, LayerTr
             "prevents convergence"
         )
 
-    weights: list[np.ndarray] | None = None
-    if isinstance(cfg.weight_mode, FirstLayerWeights):
-        rng = np.random.default_rng(cfg.weight_mode.seed)
-        x = x @ fan_uniform_weights(x.shape[1], cfg.weight_mode.out_dim, rng)
-    elif isinstance(cfg.weight_mode, PerLayerWeights):
-        if len(cfg.weight_mode.dims) != cfg.layers:
-            raise DomainError("per-layer weight dims must have one width per layer")
-        weights = _weight_chain(cfg.weight_mode, x.shape[1])
-
     # every metric is a fixed-order numpy reduction (no BLAS), so unweighted
     # traces do not depend on the BLAS thread count
     def record(k: int, mat: np.ndarray) -> LayerRecord:
@@ -175,14 +166,24 @@ def propagate(g: Graph, x0, cfg: PropagationConfig) -> tuple[np.ndarray, LayerTr
             e_delta_tilde_norm=e_dt, ratio=ratio, kernel_alignment=align,
         )
 
-    records = [record(0, x)]
-    for k in range(1, cfg.layers + 1):
-        x = prop @ x
-        if weights is not None:
-            x = x @ weights[k - 1]
-        if not np.all(np.isfinite(x)):
-            raise NumericalError(f"non-finite signal at layer {k}")
-        records.append(record(k, x))
+    weights: list[np.ndarray] | None = None
+    # an overflow leaves a non-finite signal or metric, which the checks report
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(cfg.weight_mode, FirstLayerWeights):
+            rng = np.random.default_rng(cfg.weight_mode.seed)
+            x = x @ fan_uniform_weights(x.shape[1], cfg.weight_mode.out_dim, rng)
+        elif isinstance(cfg.weight_mode, PerLayerWeights):
+            if len(cfg.weight_mode.dims) != cfg.layers:
+                raise DomainError("per-layer weight dims must have one width per layer")
+            weights = _weight_chain(cfg.weight_mode, x.shape[1])
+        records = [record(0, x)]
+        for k in range(1, cfg.layers + 1):
+            x = prop @ x
+            if weights is not None:
+                x = x @ weights[k - 1]
+            if not np.all(np.isfinite(x)):
+                raise NumericalError(f"non-finite signal at layer {k}")
+            records.append(record(k, x))
 
     trace = LayerTrace(
         operator_kind=cfg.operator_kind,

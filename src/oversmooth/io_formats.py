@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -128,42 +127,3 @@ def export_superposition_csv(sup: SuperpositionMatrix, manifest: RunManifest) ->
             ("col_basis_kind", sup.col_basis_kind.value)]
     return _csv(manifest, meta, _matrix_rows(sup.entries))
 
-
-def _find_files(
-    data_dir: str | Path, sub: str, required: dict[str, str], optional: dict[str, str]
-) -> dict[str, Path]:
-    """Map each key to the first of data_dir/<file>, data_dir/<sub>/<file> that exists."""
-    data_dir = Path(data_dir)
-    found: dict[str, Path] = {}
-    missing = []
-    for key, fname in {**required, **optional}.items():
-        for candidate in (data_dir / fname, data_dir / sub / fname):
-            if candidate.is_file():
-                found[key] = candidate
-                break
-        else:
-            if key in required:
-                missing.append(fname)
-    if missing:
-        raise FileNotFoundError(
-            f"missing dataset files under {data_dir}: " + ", ".join(missing)
-        )
-    return found
-
-
-def find_tu_files(data_dir: str | Path) -> dict[str, Path]:
-    """Locate ENZYMES_A.txt / ENZYMES_graph_indicator.txt / ENZYMES_node_attributes.txt.
-
-    Looks in data_dir and in an ENZYMES/ subdirectory. The attributes file is
-    optional; the other two are required.
-    """
-    return _find_files(
-        data_dir, "ENZYMES",
-        {"adjacency": "ENZYMES_A.txt", "indicator": "ENZYMES_graph_indicator.txt"},
-        {"attributes": "ENZYMES_node_attributes.txt"},
-    )
-
-
-def find_cora_files(data_dir: str | Path) -> dict[str, Path]:
-    """Locate cora.content / cora.cites in data_dir or a cora/ subdirectory."""
-    return _find_files(data_dir, "cora", {"content": "cora.content", "cites": "cora.cites"}, {})

@@ -161,6 +161,50 @@ class TestSimulate:
             "--out", str(tmp_path / "out"),
         ]) == 0
 
+    def test_data_dir_flag_overrides_env(self, synthetic_enzymes_dir, tmp_path, capsys,
+                                         monkeypatch):
+        monkeypatch.setenv("OVERSMOOTH_DATA_DIR", str(tmp_path / "nope"))
+        assert main([
+            "simulate", "--graph", "enzymes:18", "--layers", "5",
+            "--data-dir", str(synthetic_enzymes_dir), "--out", str(tmp_path / "out"),
+        ]) == 0
+
+
+class TestDatasetFiles:
+    """resolve_graph reads each file from the data dir or its ENZYMES/ or cora/ subdirectory."""
+
+    def test_tu_files_flat(self, synthetic_enzymes_dir):
+        g, x, dataset_id = cli.resolve_graph("enzymes:10", str(synthetic_enzymes_dir))
+        assert dataset_id == "ENZYMES" and g.n_nodes == 4 and x.shape == (4, 6)
+
+    def test_tu_files_in_subdirectory(self, tmp_path, synthetic_enzymes_dir):
+        sub = tmp_path / "root" / "ENZYMES"
+        sub.mkdir(parents=True)
+        for f in synthetic_enzymes_dir.iterdir():
+            (sub / f.name).write_text(f.read_text())
+        g, x, _ = cli.resolve_graph("enzymes:10", str(tmp_path / "root"))
+        flat_g, flat_x, _ = cli.resolve_graph("enzymes:10", str(synthetic_enzymes_dir))
+        assert g == flat_g and np.array_equal(x, flat_x)
+
+    def test_attributes_optional(self, synthetic_enzymes_dir):
+        (synthetic_enzymes_dir / "ENZYMES_node_attributes.txt").unlink()
+        g, x, _ = cli.resolve_graph("enzymes:10", str(synthetic_enzymes_dir))
+        assert g.n_nodes == 4 and x is None
+
+    def test_missing_required_files_raise(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="ENZYMES_A.txt") as exc:
+            cli.resolve_graph("enzymes:0", str(tmp_path))
+        assert str(exc.value) == (f"missing dataset files under {tmp_path}: "
+                                  "ENZYMES_A.txt, ENZYMES_graph_indicator.txt")
+
+    def test_cora_files(self, tmp_path):
+        (tmp_path / "cora.content").write_text("a 1.0 labelA\n")
+        (tmp_path / "cora.cites").write_text("")
+        g, x, dataset_id = cli.resolve_graph("cora-lcc", str(tmp_path))
+        assert dataset_id == "cora" and g.n_nodes == 1 and x.tolist() == [[1.0]]
+        with pytest.raises(FileNotFoundError):
+            cli.resolve_graph("cora-lcc", str(tmp_path / "nope"))
+
 
 class TestAxioms:
     def test_unnormalized_passes(self, pendant_triangle_edgelist, capsys):
@@ -469,6 +513,17 @@ class TestUsageErrors:
         assert main(["simulate", "--graph", "enzymes:0", "--data-dir", str(synthetic_enzymes_dir),
                      "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "ratio"])
+    def test_overflowing_features_are_exit_1(self, command, synthetic_enzymes_dir, tmp_path,
+                                             capsys):
+        # the squared norms overflow; numpy's warnings must not escape as a traceback
+        path = synthetic_enzymes_dir / "ENZYMES_node_attributes.txt"
+        path.write_text("".join(",".join(["1e200"] * len(row.split(","))) + "\n"
+                                for row in path.read_text().splitlines()))
+        assert main([command, "--graph", "enzymes:0", "--data-dir", str(synthetic_enzymes_dir),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: non-finite metric at layer 0\n"
 
     def test_bad_attribute_file_fails_only_commands_that_read_features(
             self, synthetic_enzymes_dir, tmp_path, capsys):

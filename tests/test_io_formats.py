@@ -29,8 +29,6 @@ from oversmooth.io_formats import (
     export_spectra_csv,
     export_superposition_csv,
     export_trace_csv,
-    find_cora_files,
-    find_tu_files,
     g17,
 )
 
@@ -235,34 +233,3 @@ class TestOtherExports:
     def test_g17_round_trips_doubles(self):
         for x in (1.0 / 3.0, 1e-290, 6.0 - 4.0 * np.sqrt(2.0), 12345.678901234567):
             assert float(g17(x)) == x
-
-
-class TestFileDiscovery:
-    def test_find_tu_files_flat(self, synthetic_enzymes_dir):
-        files = find_tu_files(synthetic_enzymes_dir)
-        assert set(files) == {"adjacency", "indicator", "attributes"}
-
-    def test_find_tu_files_in_subdirectory(self, tmp_path, synthetic_enzymes_dir):
-        sub = tmp_path / "root" / "ENZYMES"
-        sub.mkdir(parents=True)
-        for f in synthetic_enzymes_dir.iterdir():
-            (sub / f.name).write_text(f.read_text())
-        files = find_tu_files(tmp_path / "root")
-        assert files["adjacency"] == sub / "ENZYMES_A.txt"
-
-    def test_attributes_optional(self, synthetic_enzymes_dir):
-        (synthetic_enzymes_dir / "ENZYMES_node_attributes.txt").unlink()
-        files = find_tu_files(synthetic_enzymes_dir)
-        assert "attributes" not in files
-
-    def test_missing_required_files_raise(self, tmp_path):
-        with pytest.raises(FileNotFoundError, match="ENZYMES_A.txt"):
-            find_tu_files(tmp_path)
-
-    def test_find_cora_files(self, tmp_path):
-        (tmp_path / "cora.content").write_text("a 1.0 labelA\n")
-        (tmp_path / "cora.cites").write_text("")
-        files = find_cora_files(tmp_path)
-        assert set(files) == {"content", "cites"}
-        with pytest.raises(FileNotFoundError):
-            find_cora_files(tmp_path / "nope")
