@@ -36,7 +36,7 @@ from .energy import (
     descriptor_for,
     normalize_conjugation,
 )
-from .errors import DomainError, InsufficientDataError, NumericalError
+from .errors import DomainError, GraphFormatError, InsufficientDataError, NumericalError
 from .graph_core import (
     Graph,
     largest_connected_component,
@@ -46,6 +46,7 @@ from .graph_core import (
     stats,
 )
 from .io_formats import (
+    CsvText,
     RunManifest,
     dump_json,
     export_axiom_report_json,
@@ -92,6 +93,15 @@ def _now_iso() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _read_text(path: Path) -> str:
+    """The file's text; bytes that are not UTF-8 are a data error naming the file and offset."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(
+            f"{path}: not UTF-8 text at byte {exc.start} ({exc.reason})") from None
+
+
 def _read_dataset(
     data_dir: str, sub: str, required: tuple[str, ...], optional: tuple[str, ...] = ()
 ) -> list[str | None]:
@@ -107,7 +117,7 @@ def _read_dataset(
     missing = [name for name in required if paths[name] is None]
     if missing:
         raise FileNotFoundError(f"missing dataset files under {root}: " + ", ".join(missing))
-    return [None if path is None else path.read_text() for path in paths.values()]
+    return [None if path is None else _read_text(path) for path in paths.values()]
 
 
 def resolve_graph(
@@ -120,7 +130,8 @@ def resolve_graph(
     its ENZYMES/ or cora/ subdirectory: ENZYMES_A.txt and
     ENZYMES_graph_indicator.txt, plus ENZYMES_node_attributes.txt when present;
     cora.content and cora.cites. With ``read_attributes=False`` the attribute
-    file is not looked for, and the features are None.
+    file is not looked for, the Cora features are not parsed, and the features
+    are None.
     """
     if data_dir is None and (selector.startswith("enzymes:") or selector == "cora-lcc"):
         raise FileNotFoundError(f"selector {selector!r} needs --data-dir or ${DATA_DIR_ENV}")
@@ -135,13 +146,14 @@ def resolve_graph(
         g, x = graphs[idx]
         return g, x, "ENZYMES"
     if selector == "cora-lcc":
-        g, x = load_cora(*_read_dataset(data_dir, "cora", ("cora.content", "cora.cites")))
+        g, x = load_cora(*_read_dataset(data_dir, "cora", ("cora.content", "cora.cites")),
+                         read_features=read_attributes)
         g, x = largest_connected_component(g, x)
         return g, x, "cora"
     path = Path(selector)
     if not path.is_file():
         raise FileNotFoundError(f"no such edge-list file: {selector}")
-    return load_edge_list(path.read_text()), None, path.name
+    return load_edge_list(_read_text(path)), None, path.name
 
 
 def _initial_signal(
@@ -174,17 +186,24 @@ def _parse_weights(spec: str, layers: int, in_width: int, seed: int):
     return PerLayerWeights(dims=(int(width) if width else in_width,) * layers, seed=seed)
 
 
-def _write(path: Path, text: str):
+def _send(stream, text: str | CsvText):
+    """Write a JSON string whole, or a CSV one chunk at a time, with ``stream.write`` only."""
+    for chunk in [text] if isinstance(text, str) else text:
+        stream.write(chunk)
+
+
+def _write(path: Path, text: str | CsvText):
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    with path.open("w") as fh:
+        _send(fh, text)
 
 
-def _write_or_print(path: str | None, text: str):
+def _write_or_print(path: str | None, text: CsvText):
     """Write text to the file at path when one is given, else to stdout."""
     if path:
         _write(Path(path), text)
     else:
-        sys.stdout.write(text)
+        _send(sys.stdout, text)
 
 
 # ---------------------------------------------------------------- commands

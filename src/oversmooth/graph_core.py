@@ -385,32 +385,38 @@ def load_tu_dataset(
     return _TUGraphs(bounds, e, np.searchsorted(e[:, 0], bounds), x)
 
 
-def _content_faults(lines: list[str]) -> Iterator[str]:
+def _content_faults(lines: list[str], features: bool) -> Iterator[str]:
     seen, width = set(), None
     for lineno, raw in enumerate(lines, start=1):
         parts = raw.split()
         if not parts:
             continue
         at = f"content line {lineno}"
-        row = _read([" ".join(parts[1:-1])], float) if len(parts) >= 3 else None
         if len(parts) < 3:
             yield f"{at}: too few fields"
         elif parts[0] in seen:
             yield f"{at}: duplicate node id {parts[0]}"
-        elif row is None:
-            yield f"{at}: non-numeric feature"
-        else:
-            width = width or row.shape[1]  # the first row's
-            if row.shape[1] != width:
-                yield f"{at}: {row.shape[1]} features, expected {width}"
+        elif features:
+            row = _read([" ".join(parts[1:-1])], float)
+            if row is None:
+                yield f"{at}: non-numeric feature"
+            else:
+                width = width or row.shape[1]  # the first row's
+                if row.shape[1] != width:
+                    yield f"{at}: {row.shape[1]} features, expected {width}"
         seen.add(parts[0])
 
 
-def load_cora(content_text: str, cites_text: str) -> tuple[Graph, np.ndarray]:
+def load_cora(
+    content_text: str, cites_text: str, *, read_features: bool = True
+) -> tuple[Graph, np.ndarray | None]:
     """Parse the two-file citation format (content: id feats... label; cites: citing cited).
 
     Returns the undirected citation graph and the node feature matrix, node
-    order following the content file. Labels are parsed but not returned.
+    order following the content file. Labels are parsed but not returned. With
+    ``read_features=False`` the features are neither parsed nor checked and come
+    back as None; every content line still needs an id, a feature and a label,
+    and the ids must be unique.
     """
     lines = content_text.splitlines()
     ids, tails = [], []
@@ -420,11 +426,10 @@ def load_cora(content_text: str, cites_text: str) -> tuple[Graph, np.ndarray]:
             ids.append(head[0])
             tails.append(head[-1].rsplit(None, 1))  # [features, label] if the line has 3 fields
     index = {node_id: k for k, node_id in enumerate(ids)}
-    x = None
-    if all(len(tail) == 2 for tail in tails) and len(index) == len(ids):
-        x = _read([tail[0] for tail in tails], float)
-    if x is None:
-        _raise_first(_content_faults(lines))
+    structural = all(len(tail) == 2 for tail in tails) and len(index) == len(ids)
+    x = _read([tail[0] for tail in tails], float) if structural and read_features else None
+    if not structural or (read_features and x is None):
+        _raise_first(_content_faults(lines, read_features))
     if not ids:
         raise GraphFormatError("empty content file")
 

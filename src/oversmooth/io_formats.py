@@ -2,12 +2,14 @@
 
 All numeric fields are written with "%.17g", which round-trips IEEE doubles
 bit-exactly. Manifests ride along as '#'-prefixed CSV preamble comments so
-every artifact stays a single plot-friendly file.
+every artifact stays a single plot-friendly file. A CSV export is a ``CsvText``,
+its lines formatted once and never joined; a JSON export is one string.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -40,13 +42,37 @@ class RunManifest:
         ]
 
 
-def _csv(manifest: RunManifest, meta: list[tuple[str, object]], rows: list[str]) -> str:
+class CsvText:
+    """A CSV file as newline-terminated chunks, each formatted once and never joined.
+
+    ``len`` is the file's length in characters and iteration yields the chunks in
+    file order, so a writer sends them out one at a time and the largest artifacts
+    are never held twice; ``str`` joins them for a caller that wants one string.
+    """
+
+    __slots__ = ("_chunks", "_length")
+
+    def __init__(self, chunks: list[str]):
+        self._chunks = chunks
+        self._length = sum(map(len, chunks))
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._chunks)
+
+    def __str__(self) -> str:
+        return "".join(self._chunks)
+
+
+def _csv(manifest: RunManifest, meta: list[tuple[str, object]], rows: Iterable[str]) -> CsvText:
     """Manifest preamble, one '# key: value' line per meta pair, then the rows.
 
-    The text is joined once, so the largest artifacts are not copied twice.
+    Every chunk is one newline-terminated line; the rows come terminated.
     """
-    meta_lines = [f"# {key}: {value}" for key, value in meta]
-    return "\n".join([*manifest.preamble_lines(), *meta_lines, *rows, ""])
+    return CsvText([*(f"{line}\n" for line in manifest.preamble_lines()),
+                    *(f"# {key}: {value}\n" for key, value in meta), *rows])
 
 
 def dump_json(doc: dict) -> str:
@@ -54,12 +80,12 @@ def dump_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def export_trace_csv(trace: LayerTrace, manifest: RunManifest) -> str:
+def export_trace_csv(trace: LayerTrace, manifest: RunManifest) -> CsvText:
     meta = [("operator_kind", trace.operator_kind.value),
             ("track_volume_constant", str(trace.track_volume_constant).lower()),
             *(("note", note) for note in trace.notes)]
-    rows = [",".join(TRACE_COLUMNS)]
-    rows.extend(",".join(_trace_cell(getattr(rec, name)) for name in TRACE_COLUMNS)
+    rows = [",".join(TRACE_COLUMNS) + "\n"]
+    rows.extend(",".join(_trace_cell(getattr(rec, name)) for name in TRACE_COLUMNS) + "\n"
                 for rec in trace.records)
     return _csv(manifest, meta, rows)
 
@@ -100,29 +126,29 @@ def export_axiom_report_json(
     })
 
 
-def export_ratio_csv(ratio: RatioTrace, manifest: RunManifest) -> str:
+def export_ratio_csv(ratio: RatioTrace, manifest: RunManifest) -> CsvText:
     meta = [] if ratio.cut_layer is None else [("cut_layer", ratio.cut_layer)]
-    return _csv(manifest, meta, ["k,ratio", *(f"{k},{g17(r)}" for k, r in ratio.points)])
+    return _csv(manifest, meta, ["k,ratio\n", *(f"{k},{g17(r)}\n" for k, r in ratio.points)])
 
 
-def export_spectra_csv(dec: SpectralDecomposition, manifest: RunManifest) -> str:
-    rows = ["index,eigenvalue",
-            *(f"{idx},{g17(float(lam))}" for idx, lam in enumerate(dec.eigenvalues))]
+def export_spectra_csv(dec: SpectralDecomposition, manifest: RunManifest) -> CsvText:
+    rows = ["index,eigenvalue\n",
+            *(f"{idx},{g17(float(lam))}\n" for idx, lam in enumerate(dec.eigenvalues))]
     return _csv(manifest, [("operator_kind", dec.operator_kind.value)], rows)
 
 
-def _matrix_rows(matrix: np.ndarray) -> list[str]:
-    """One "%.17g" CSV line per row, formatted a row at a time to bound memory."""
+def _matrix_rows(matrix: np.ndarray) -> Iterator[str]:
+    """One "%.17g" CSV line per row, newline included, formatted a row at a time."""
     matrix = np.asarray(matrix, dtype=float)
-    fmt = ",".join(["%.17g"] * matrix.shape[1])
-    return [fmt % tuple(row.tolist()) for row in matrix]
+    fmt = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
+    return (fmt % tuple(row.tolist()) for row in matrix)
 
 
-def export_matrix_csv(matrix: np.ndarray, manifest: RunManifest) -> str:
+def export_matrix_csv(matrix: np.ndarray, manifest: RunManifest) -> CsvText:
     return _csv(manifest, [], _matrix_rows(matrix))
 
 
-def export_superposition_csv(sup: SuperpositionMatrix, manifest: RunManifest) -> str:
+def export_superposition_csv(sup: SuperpositionMatrix, manifest: RunManifest) -> CsvText:
     meta = [("row_basis_kind", sup.row_basis_kind.value),
             ("col_basis_kind", sup.col_basis_kind.value)]
     return _csv(manifest, meta, _matrix_rows(sup.entries))

@@ -367,8 +367,11 @@ def reference_load_tu_dataset(adjacency_text, indicator_text, node_attr_text=Non
     return list(zip(graphs, attrs))
 
 
-def reference_load_cora(content_text, cites_text):
-    """Independent oracle: the citation format parsed line by line, float() per token."""
+def reference_load_cora(content_text, cites_text, read_features=True):
+    """Independent oracle: the citation format parsed line by line, float() per token.
+
+    With read_features=False no feature token is read and the features are None.
+    """
     index = {}
     feats = []
     for lineno, raw in enumerate(content_text.splitlines(), start=1):
@@ -381,15 +384,16 @@ def reference_load_cora(content_text, cites_text):
         node_id = parts[0]
         if node_id in index:
             raise GraphFormatError(f"content line {lineno}: duplicate node id {node_id}")
-        try:
-            row = [float(tok) for tok in parts[1:-1]]
-        except ValueError:
-            raise GraphFormatError(f"content line {lineno}: non-numeric feature") from None
-        if feats and len(row) != len(feats[0]):
-            raise GraphFormatError(
-                f"content line {lineno}: {len(row)} features, expected {len(feats[0])}"
-            )
-        feats.append(row)
+        if read_features:
+            try:
+                row = [float(tok) for tok in parts[1:-1]]
+            except ValueError:
+                raise GraphFormatError(f"content line {lineno}: non-numeric feature") from None
+            if feats and len(row) != len(feats[0]):
+                raise GraphFormatError(
+                    f"content line {lineno}: {len(row)} features, expected {len(feats[0])}"
+                )
+            feats.append(row)
         index[node_id] = len(index)
     if not index:
         raise GraphFormatError("empty content file")
@@ -406,7 +410,7 @@ def reference_load_cora(content_text, cites_text):
             raise GraphFormatError(f"cites line {lineno}: unknown node id")
         if a != b:  # self-citations are dropped
             pairs.append((index[a], index[b]))
-    return make_graph(len(index), pairs), np.array(feats, dtype=float)
+    return make_graph(len(index), pairs), np.array(feats, dtype=float) if read_features else None
 
 
 @pytest.fixture

@@ -59,6 +59,35 @@ def k2_edgelist(tmp_path):
     return str(path)
 
 
+# a citation graph: a 5-cycle with a chord, and an isolated paper 'f' outside the LCC
+CORA_CONTENT = "".join(f"{node}\t{node_id % 2}\t1\t{node_id % 3}\tTheory\n"
+                       for node_id, node in enumerate("abcdef"))
+CORA_CITES = "a\tb\nb\tc\nc\td\nd\te\ne\ta\na\tc\n"
+
+
+@pytest.fixture
+def cora_dir(tmp_path):
+    data = tmp_path / "cora"
+    data.mkdir()
+    (data / "cora.content").write_text(CORA_CONTENT)
+    (data / "cora.cites").write_text(CORA_CITES)
+    return data
+
+
+class WriteOnly:
+    """A stdout with only write and flush, as an in-memory benchmark sink has."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def write(self, text):
+        self.chunks.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
 def _strip_timestamps(text: str) -> str:
     return "\n".join(
         l for l in text.splitlines()
@@ -305,6 +334,31 @@ class TestSpectraAndExport:
         ]) == 0
         assert "# row_basis_kind: delta_norm" in sup.read_text()
 
+    @pytest.mark.parametrize("command", [
+        ["spectra", "--operator", "delta-norm", "--superpose", "delta"],
+        ["export-operator", "--operator", "delta"],
+    ], ids=["spectra", "export-operator"])
+    def test_stdout_equals_out_files(self, command, cora_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_now_iso", lambda: "2026-01-01T00:00:00+00:00")
+        argv = [*command, "--graph", "cora-lcc", "--data-dir", str(cora_dir)]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out.encode()
+        outs = [tmp_path / "out.csv"]
+        flags = ["--out", str(outs[0])]
+        if command[0] == "spectra":
+            outs.append(tmp_path / "sup.csv")
+            flags += ["--superpose-out", str(outs[1])]
+        assert main([*argv, *flags]) == 0
+        assert capsys.readouterr().out == ""
+        assert printed == b"".join(path.read_bytes() for path in outs)
+        if command[0] == "spectra":  # the superposition alone to stdout, the eigenvalues to file
+            assert main([*argv, "--out", str(tmp_path / "eig.csv")]) == 0
+            assert capsys.readouterr().out.encode() == outs[1].read_bytes()
+        sink = WriteOnly()
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(argv) == 0
+        assert "".join(sink.chunks).encode() == printed
+
     def test_export_operator(self, pendant_triangle_edgelist, tmp_path, capsys):
         out = tmp_path / "delta.csv"
         assert main([
@@ -537,6 +591,52 @@ class TestUsageErrors:
         assert main(["simulate", "--graph", "enzymes:0", "--data-dir", str(synthetic_enzymes_dir),
                      "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == "error: inconsistent attribute row widths\n"
+
+    def test_bad_cora_feature_fails_only_commands_that_read_features(
+            self, cora_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_now_iso", lambda: "2026-01-01T00:00:00+00:00")
+        graph = ["--graph", "cora-lcc", "--data-dir", str(cora_dir)]
+        commands = [["analyze"], ["axioms"], ["spectra", "--superpose", "delta"],
+                    ["export-operator"]]
+        good = []
+        for command in commands:
+            assert main([*command, *graph]) == 0
+            good.append(capsys.readouterr())
+        content = cora_dir / "cora.content"
+        content.write_text(CORA_CONTENT.replace("c\t0\t1", "c\tx\t1"))
+        for command, want in zip(commands, good):
+            assert main([*command, *graph]) == 0
+            assert capsys.readouterr() == want
+        assert main(["simulate", *graph, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: content line 3: non-numeric feature\n"
+
+    @pytest.mark.parametrize("fault, message", [
+        (lambda text: text + "a\t1\t1\t1\tTheory\n", "content line 7: duplicate node id a"),
+        (lambda text: text + "g\tTheory\n", "content line 7: too few fields"),
+    ], ids=["duplicate-id", "too-few-fields"])
+    def test_cora_structure_is_checked_without_features(self, fault, message, cora_dir,
+                                                        capsys):
+        content = cora_dir / "cora.content"
+        content.write_text(fault(CORA_CONTENT.replace("c\t0\t1", "c\tx\t1")))
+        assert main(["axioms", "--graph", "cora-lcc", "--data-dir", str(cora_dir)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_non_utf8_dataset_file_is_exit_1(self, synthetic_enzymes_dir, capsys):
+        path = synthetic_enzymes_dir / "ENZYMES_A.txt"
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"\xff")
+        assert main(["analyze", "--graph", "enzymes:0", "--data-dir",
+                     str(synthetic_enzymes_dir)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: not UTF-8 text at byte {size} (invalid start byte)\n")
+
+    def test_non_utf8_edge_list_is_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "edges.txt"
+        text = "".join(f"{i} {i + 1}\n" for i in range(20000))  # longer than one read buffer
+        path.write_bytes(text.encode() + b"\xff\n")
+        assert main(["analyze", "--graph", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: not UTF-8 text at byte {len(text)} (invalid start byte)\n")
 
     def test_enzymes_selector_builds_one_graph(self, synthetic_enzymes_dir, built_graphs):
         g, x, _ = cli.resolve_graph("enzymes:10", str(synthetic_enzymes_dir))

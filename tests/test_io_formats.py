@@ -50,6 +50,26 @@ def manifest():
     return MANIFEST
 
 
+MATRIX_EXPORTS = pytest.mark.parametrize("export", [
+    export_matrix_csv,
+    lambda m, manifest: export_superposition_csv(SuperpositionMatrix(
+        entries=m, row_basis_kind=OperatorKind.NORMALIZED_LAPLACIAN,
+        col_basis_kind=OperatorKind.UNNORMALIZED_LAPLACIAN), manifest),
+], ids=["matrix", "superposition"])
+
+
+def _traced_export(export, manifest):
+    """The export of a 400 x 400 matrix and the traced peak of the allocations it made."""
+    m = np.random.default_rng(0).standard_normal((400, 400))
+    tracemalloc.start()
+    try:
+        text = export(m, manifest)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return text, peak
+
+
 @pytest.fixture
 def k4_trace(k4):
     x0 = np.random.default_rng(0).standard_normal((4, 3))
@@ -59,18 +79,18 @@ def k4_trace(k4):
 
 class TestTraceCsv:
     def test_row_counts(self, k4, k4_trace, manifest):
-        text = export_trace_csv(k4_trace, manifest)
+        text = str(export_trace_csv(k4_trace, manifest))
         data_rows = [l for l in text.splitlines() if l and not l.startswith("#")]
         assert len(data_rows) == 52  # header + 51 layers
 
         x0 = np.ones((4, 2))
         _, single = propagate(k4, x0, PropagationConfig(layers=1))
-        text = export_trace_csv(single, manifest)
+        text = str(export_trace_csv(single, manifest))
         data_rows = [l for l in text.splitlines() if l and not l.startswith("#")]
         assert len(data_rows) == 3  # header + k=0 + k=1
 
     def test_round_trip_is_bit_exact(self, k4_trace, manifest):
-        text = export_trace_csv(k4_trace, manifest)
+        text = str(export_trace_csv(k4_trace, manifest))
         back = reference_parse_trace_csv(text)
         assert back.operator_kind == k4_trace.operator_kind
         assert back.track_volume_constant == k4_trace.track_volume_constant
@@ -79,7 +99,7 @@ class TestTraceCsv:
             assert a == b  # dataclass equality: floats must round-trip exactly
 
     def test_manifest_preamble_present(self, k4_trace, manifest):
-        text = export_trace_csv(k4_trace, manifest)
+        text = str(export_trace_csv(k4_trace, manifest))
         assert text.splitlines()[:6] == [
             "# dataset_id: toy",
             "# graph_selector: k4",
@@ -92,7 +112,7 @@ class TestTraceCsv:
     def test_notes_round_trip(self, k2, manifest):
         _, trace = propagate(k2, np.ones((2, 1)), PropagationConfig(layers=1))
         assert trace.notes
-        back = reference_parse_trace_csv(export_trace_csv(trace, manifest))
+        back = reference_parse_trace_csv(str(export_trace_csv(trace, manifest)))
         assert back.notes == trace.notes
 
     def test_bad_header_rejected(self):
@@ -101,7 +121,7 @@ class TestTraceCsv:
 
     def test_missing_operator_kind_rejected(self, k4_trace, manifest):
         text = "\n".join(
-            l for l in export_trace_csv(k4_trace, manifest).splitlines()
+            l for l in str(export_trace_csv(k4_trace, manifest)).splitlines()
             if not l.startswith("# operator_kind")
         )
         with pytest.raises(GraphFormatError):
@@ -120,7 +140,7 @@ class TestTraceCsv:
         )
         trace = LayerTrace(data.draw(st.sampled_from(list(OperatorKind))), records,
                            data.draw(st.booleans()))
-        back = reference_parse_trace_csv(export_trace_csv(trace, MANIFEST))
+        back = reference_parse_trace_csv(str(export_trace_csv(trace, MANIFEST)))
         assert (back.operator_kind, back.track_volume_constant) == (
             trace.operator_kind, trace.track_volume_constant)
         assert len(back.records) == len(records)
@@ -131,7 +151,8 @@ class TestTraceCsv:
                     assert np.float64(a).view(np.int64) == np.float64(b).view(np.int64)
 
     def test_determinism(self, k4_trace, manifest):
-        assert export_trace_csv(k4_trace, manifest) == export_trace_csv(k4_trace, manifest)
+        first, second = (str(export_trace_csv(k4_trace, manifest)) for _ in range(2))
+        assert first == second
 
 
 class TestReportJson:
@@ -172,7 +193,7 @@ class TestOtherExports:
         x0 = np.random.default_rng(0).standard_normal((4, 3))
         _, trace = propagate(k4, x0, PropagationConfig(layers=50))
         ratio = energy_ratio_trace(trace)
-        text = export_ratio_csv(ratio, manifest)
+        text = str(export_ratio_csv(ratio, manifest))
         assert f"# cut_layer: {ratio.cut_layer}" in text
         rows = [l for l in text.splitlines() if l and not l.startswith("#")]
         assert rows[0] == "k,ratio"
@@ -180,7 +201,7 @@ class TestOtherExports:
 
     def test_spectra_csv(self, p3, manifest):
         dec = eigendecompose(build(p3, OperatorKind.UNNORMALIZED_LAPLACIAN))
-        text = export_spectra_csv(dec, manifest)
+        text = str(export_spectra_csv(dec, manifest))
         rows = [l for l in text.splitlines() if l and not l.startswith("#")]
         assert rows[0] == "index,eigenvalue"
         values = [float(r.split(",")[1]) for r in rows[1:]]
@@ -188,7 +209,7 @@ class TestOtherExports:
 
     def test_matrix_csv_round_trip(self, pendant_triangle, manifest):
         m = build(pendant_triangle, OperatorKind.NORMALIZED_LAPLACIAN).matrix
-        text = export_matrix_csv(m, manifest)
+        text = str(export_matrix_csv(m, manifest))
         rows = [[float(c) for c in l.split(",")]
                 for l in text.strip().splitlines() if not l.startswith("#")]
         np.testing.assert_array_equal(np.array(rows), m)
@@ -199,34 +220,36 @@ class TestOtherExports:
                       [np.pi, -1e-300, 1e300, 0.1]])
         want = "".join(",".join(g17(float(v)) for v in row) + "\n" for row in m)
         preamble = "".join(line + "\n" for line in manifest.preamble_lines())
-        assert export_matrix_csv(m, manifest) == preamble + want
+        assert str(export_matrix_csv(m, manifest)) == preamble + want
         sup = SuperpositionMatrix(entries=m, row_basis_kind=OperatorKind.NORMALIZED_LAPLACIAN,
                                   col_basis_kind=OperatorKind.UNNORMALIZED_LAPLACIAN)
-        assert export_superposition_csv(sup, manifest).endswith("# col_basis_kind: delta\n" + want)
+        assert str(export_superposition_csv(sup, manifest)).endswith(
+            "# col_basis_kind: delta\n" + want)
         assert "-0," in want and "4.9406564584124654e-324" in want
 
-    @pytest.mark.parametrize("export", [
-        export_matrix_csv,
-        lambda m, manifest: export_superposition_csv(SuperpositionMatrix(
-            entries=m, row_basis_kind=OperatorKind.NORMALIZED_LAPLACIAN,
-            col_basis_kind=OperatorKind.UNNORMALIZED_LAPLACIAN), manifest),
-    ], ids=["matrix", "superposition"])
+    @MATRIX_EXPORTS
     def test_matrix_text_is_joined_once(self, export, manifest):
-        # the rows plus one joined copy: a second full copy of the text would pass 3x
-        m = np.random.default_rng(0).standard_normal((400, 400))
-        tracemalloc.start()
-        try:
-            text = export(m, manifest)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        # at most the rows plus one joined copy: a second full copy would pass 3x
+        text, peak = _traced_export(export, manifest)
         assert peak <= 2.5 * len(text)
+
+    @MATRIX_EXPORTS
+    def test_matrix_text_is_held_once(self, export, manifest):
+        # the formatted rows alone: a joined copy of them would pass 2x
+        text, peak = _traced_export(export, manifest)
+        assert peak <= 1.25 * len(text)
+
+    @MATRIX_EXPORTS
+    def test_chunks_are_lines_and_len_counts_characters(self, export, manifest):
+        text = export(np.arange(6.0).reshape(2, 3), manifest)
+        assert all(chunk.count("\n") == 1 and chunk.endswith("\n") for chunk in text)
+        assert len(text) == len(str(text)) == sum(map(len, text))
 
     def test_superposition_csv(self, pendant_triangle, manifest):
         a = eigendecompose(build(pendant_triangle, OperatorKind.NORMALIZED_LAPLACIAN))
         b = eigendecompose(build(pendant_triangle, OperatorKind.UNNORMALIZED_LAPLACIAN))
         sup = superposition(a, b)
-        text = export_superposition_csv(sup, manifest)
+        text = str(export_superposition_csv(sup, manifest))
         assert "# row_basis_kind: delta_norm" in text
         assert "# col_basis_kind: delta" in text
 

@@ -213,6 +213,18 @@ def test_cora_matches_reference(texts):
     assert same_array(got[1], want[1])
 
 
+@settings(max_examples=200, deadline=None)
+@given(cora_texts())
+def test_cora_without_features_matches_reference(texts):
+    # the structural faults and the graph are the same; no feature token is read
+    want = outcome(lambda: reference_load_cora(*texts, read_features=False))
+    got = outcome(lambda: load_cora(*texts, read_features=False))
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert got[0] == want[0] and got[1] is None
+
+
 TWO_NODES = [(make_graph(2, [(0, 1)]), None)]
 
 ACCEPTED_FORMS = [
