@@ -664,14 +664,17 @@ class TestFreshProcess:
                             for name in ("trace.csv", "report.json")])
         assert outputs[0] == outputs[1]
 
-    def test_cli_runs_import_no_scipy(self, synthetic_enzymes_dir, tmp_path):
+    def test_cli_runs_import_no_scipy(self, synthetic_enzymes_dir, cora_dir, tmp_path):
         code = (
             "import sys\n"
             "import oversmooth.cli as cli\n"
             f"data, out = {str(synthetic_enzymes_dir)!r}, {str(tmp_path / 'out')!r}\n"
+            f"cora, cora_out = {str(cora_dir)!r}, {str(tmp_path / 'cora-out')!r}\n"
             "assert cli.main(['simulate', '--graph', 'enzymes:0', '--data-dir', data,"
             " '--out', out]) == 0\n"
             "assert cli.main(['axioms', '--graph', 'enzymes:0', '--data-dir', data]) == 0\n"
+            "assert cli.main(['simulate', '--graph', 'cora-lcc', '--data-dir', cora,"
+            " '--out', cora_out]) == 0\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
         )
         assert _python(["-c", code]).stdout.splitlines()[-1] == "[]"

@@ -24,6 +24,8 @@ from oversmooth.graph_core import connected_components
 from oversmooth.synthetic import write_synthetic_enzymes
 
 from conftest import PENDANT_TRIANGLE_TEXT, reference_canonical, serialize_edge_list
+from test_cli import CORA_CITES, CORA_CONTENT
+from test_loader_oracle import assert_cora_matches_reference
 
 
 class TestLoadEdgeList:
@@ -439,6 +441,62 @@ class TestCora:
     def test_ragged_row_names_its_line(self):
         with pytest.raises(GraphFormatError, match="content line 4: 3 features, expected 2"):
             load_cora(self.CONTENT + "d 1.0 0.0 1.0 labelB\n", self.CITES)
+
+
+# rows of single-digit features that numpy's reader takes or refuses, but the digit
+# reader must leave to it: one token is not one digit, or a gap is not one ' ' / '\t'
+DIGIT_NEAR_MISSES = {
+    "leading-zero": ["1 0 1", "01 1 0"],
+    "point": ["1 0 1", "1. 0 1"],
+    "plus": ["1 0 1", "+1 0 1"],
+    "minus": ["1 0 1", "-0 0 1"],
+    "exponent": ["1 0 1", "1e0 0 1"],
+    "doubled-gap": ["1 0 1", "1  0 1"],
+    "space-tab": ["1 0 1", "1 \t0 1"],
+    "one-short": ["1 0 1", "1 0"],
+    # the same length as a good row, so the byte checks refuse them, not the lengths
+    "letter": ["1 0 1", "1 x 1"],
+    "below-0": ["1 0 1", "1 / 1"],
+    "above-9": ["1 0 1", "1 : 1"],
+    "comma-gap": ["1 0 1", "1,0 1"],
+    "vertical-tab-gap": ["1 0 1", "1\x0b0 1"],
+    "point-gap": ["1 0 1", "1 0.1"],
+}
+
+
+class TestDigitFeatures:
+    def test_cli_fixture_rows_take_the_digit_reader(self):
+        # each line's feature text, split off as load_cora does
+        rows = [line.split(None, 1)[1].rsplit(None, 1)[0] for line in CORA_CONTENT.splitlines()]
+        x = graph_core._read_digits(rows)
+        assert x.dtype == np.float64
+        assert x.tolist() == [[k % 2, 1, k % 3] for k in range(6)]
+
+    def test_cora_sized_block_takes_the_digit_reader(self):
+        bits = np.random.default_rng(0).integers(0, 2, size=(2708, 1433))
+        rows = [" ".join(map(str, row)) for row in bits.tolist()]
+        x = graph_core._read_digits(rows)
+        assert x.dtype == np.float64 and x.shape == bits.shape
+        assert np.array_equal(x, bits)
+
+    def test_load_cora_reads_digits_without_numpys_reader(self, monkeypatch):
+        monkeypatch.setattr(graph_core, "_read", lambda *a, **k: pytest.fail("_read called"))
+        g, x = load_cora(CORA_CONTENT, CORA_CITES)
+        assert g.n_nodes == 6 and x.shape == (6, 3)
+
+    @pytest.mark.parametrize("rows", DIGIT_NEAR_MISSES.values(), ids=DIGIT_NEAR_MISSES.keys())
+    def test_near_misses_fall_back_with_the_same_result(self, rows):
+        assert graph_core._read_digits(rows) is None
+        assert graph_core._read_digits(rows[::-1]) is None
+        content = "".join(f"n{k} {row} L\n" for k, row in enumerate(rows))
+        assert_cora_matches_reference((content, ""))
+
+    def test_non_ascii_digit_is_a_non_numeric_feature(self):
+        # float() takes it, so the reference parser is no oracle here
+        assert graph_core._read_digits(["1 0 1", "1 \u0661 1"]) is None
+        with pytest.raises(GraphFormatError) as info:
+            load_cora("a\t\u0661\tTheory\n", "")
+        assert str(info.value) == "content line 1: non-numeric feature"
 
 
 class TestLargestConnectedComponent:
